@@ -10,6 +10,7 @@
 #include "defense/preprocess.hpp"
 #include "sim/board.hpp"
 #include "sim/ground.hpp"
+#include "toolchain/intelhex.hpp"
 
 int main() {
   using namespace mavr;
@@ -63,6 +64,8 @@ int main() {
     fixture.fw = fw;
     fixture.plan = plan;
     fixture.container_hex = defense::preprocess_to_hex(fw.image);
+    fixture.container =
+        toolchain::intel_hex_decode(fixture.container_hex).data;
     attack::GadgetFinder finder(fw.image);
     for (const attack::StkMoveGadget& g : finder.stk_moves()) {
       if (g.pops.size() <= 3) fixture.usable_stk.push_back(g);

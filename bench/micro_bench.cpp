@@ -98,6 +98,21 @@ void BM_Crc16(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc16);
 
+// CRC-32 over one firmware container's worth of bytes: the reflash path
+// hashes a ~8.5 KB container five times per boot (DESIGN.md §9).
+void BM_Crc32(benchmark::State& state) {
+  support::Bytes data(8704);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 31);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(support::crc32_ieee(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_Crc32);
+
 void BM_CpuSimulation(benchmark::State& state) {
   sim::Board board;
   board.flash_image(test_fw().image.bytes);

@@ -183,6 +183,13 @@ constexpr Instr kUndecoded{.op = Op::Invalid,
                            .k = 0,
                            .target = 0,
                            .size_words = 0};
+// The cache lives on zero pages, so an untouched slot must read as the
+// sentinel: every field of kUndecoded is zero.
+static_assert(static_cast<std::uint8_t>(kUndecoded.op) == 0 &&
+                  kUndecoded.rd == 0 && kUndecoded.rr == 0 &&
+                  kUndecoded.bit == 0 && kUndecoded.k == 0 &&
+                  kUndecoded.target == 0 && kUndecoded.size_words == 0,
+              "kUndecoded must be the all-zero byte pattern");
 }  // namespace
 
 Cpu::Cpu(const McuSpec& spec)
@@ -194,11 +201,24 @@ Cpu::Cpu(const McuSpec& spec)
       data_size_(spec.data_space_bytes()),
       push_bytes_(static_cast<std::uint8_t>(spec.pc_push_bytes)),
       pc_mask_(spec.flash_words() - 1),
-      cache_(spec.flash_words(), kUndecoded) {
+      cache_(spec.flash_words()) {
   MAVR_CHECK(std::has_single_bit(spec.flash_words()),
              "flash word count must be a power of two for PC wrapping");
   io_.bind_backing(data_.raw_data());
   cache_generation_ = flash_.generation();
+  reset();
+}
+
+void Cpu::power_on() {
+  flash_.erase();
+  eeprom_.erase();
+  cycles_ = 0;
+  retired_ = 0;
+  interrupts_taken_ = 0;
+  tracer_ = nullptr;
+  exec_tier_ = true;
+  tier_.power_on();
+  io_.power_on();
   reset();
 }
 
@@ -215,16 +235,22 @@ void Cpu::reset() {
 
 const Instr& Cpu::decoded(std::uint32_t word_addr) {
   Instr& in = cache_[word_addr];
-  if (in.size_words == 0) [[unlikely]] {
-    in = decode(flash_.word(word_addr),
-                flash_.word((word_addr + 1) & pc_mask_));
-  }
+  if (in.size_words == 0) [[unlikely]] fill_decode_slot(word_addr);
   return in;
+}
+
+// Kept out of line: decoded() runs once per interpreted instruction, and
+// with the miss path inlined its hit path needs a full stack frame.
+[[gnu::noinline]] void Cpu::fill_decode_slot(std::uint32_t word_addr) {
+  cache_[word_addr] = decode(flash_.word(word_addr),
+                             flash_.word((word_addr + 1) & pc_mask_));
+  decoded_words_.push_back(word_addr);
 }
 
 void Cpu::sync_decode_cache() {
   if (cache_generation_ != flash_.generation()) {
-    std::fill(cache_.begin(), cache_.end(), kUndecoded);
+    for (const std::uint32_t w : decoded_words_) cache_[w] = kUndecoded;
+    decoded_words_.clear();
     cache_generation_ = flash_.generation();
   }
 }

@@ -21,6 +21,7 @@
 #include "avr/mcu.hpp"
 #include "avr/memory.hpp"
 #include "avr/tier.hpp"
+#include "support/zero_pages.hpp"
 
 namespace mavr::avr {
 
@@ -117,8 +118,19 @@ class Cpu {
   const McuSpec& spec() const { return spec_; }
 
   /// Power-on/reset: PC=0, SP=RAMEND, SREG=0, data memory cleared.
-  /// Flash contents are preserved (reset is not reprogramming).
+  /// Flash contents are preserved (reset is not reprogramming), and the
+  /// cycle counter keeps running: peripherals share the timeline.
   void reset();
+
+  /// Returns a used core to the state of a freshly constructed one: flash
+  /// erased, EEPROM blank, cycle/retired/interrupt counters and tier stats
+  /// zero, tracer detached, tier on, bus clock at zero, then reset().
+  /// Unlike reset() this restarts the shared timeline, so the owner must
+  /// first return its devices (whose deadlines the bus re-reads) to their
+  /// own power-on state. Device registrations and interrupt lines stay.
+  /// The flash erase moves the generation forward, which is what retires
+  /// every cached decode and translation; neither cache is rewound.
+  void power_on();
 
   CpuState state() const { return state_; }
   const FaultInfo& fault() const { return fault_; }
@@ -239,6 +251,7 @@ class Cpu {
   template <bool kTraced>
   void store_mem(std::uint32_t addr, std::uint8_t value);
   const Instr& decoded(std::uint32_t word_addr);
+  void fill_decode_slot(std::uint32_t word_addr);
   void sync_decode_cache();
   void set_flag(SregBit bit, bool value);
   void flags_add(std::uint8_t d, std::uint8_t r, std::uint8_t carry_in,
@@ -292,8 +305,12 @@ class Cpu {
   // as not-yet-decoded (every real decode yields 1 or 2). Re-synced to the
   // flash generation at run()/step() entry rather than per instruction —
   // flash can only be reprogrammed from outside the interpreter loop (SPM
-  // is modelled as a no-op).
-  std::vector<Instr> cache_;
+  // is modelled as a no-op). The table sits on zero pages (an all-zero
+  // Instr is the undecoded sentinel), and a resync clears only the slots
+  // listed in decoded_words_, so neither construction nor a reflash walks
+  // the whole 2 MB.
+  support::ZeroPages<Instr> cache_;
+  std::vector<std::uint32_t> decoded_words_;
   std::uint64_t cache_generation_ = ~std::uint64_t{0};
 };
 

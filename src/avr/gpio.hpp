@@ -39,6 +39,14 @@ class OutputPort {
   const std::vector<Write>& history() const { return history_; }
   void clear_history() { history_.clear(); }
 
+  /// Power-on: never written, empty history.
+  void power_on() {
+    value_ = 0;
+    last_write_cycle_ = 0;
+    write_count_ = 0;
+    history_.clear();
+  }
+
  private:
   void write(std::uint8_t v);  ///< dispatched firmware-store handler
 

@@ -16,6 +16,7 @@
 // the old per-instruction tick() broadcast delivered.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -126,6 +127,17 @@ class IoBus {
     for (const std::uint16_t addr : latch_addrs_) {
       backing_[addr] = latch_shadow_[addr];
     }
+  }
+
+  /// Power-on: clock at zero, interrupt hint up, latched registers back to
+  /// zero (the value every modelled device latches at registration), and
+  /// the deadline re-read from the devices, which must already be in their
+  /// own power-on state. Registrations are kept.
+  void power_on() {
+    now_ = 0;
+    irq_hint_ = true;
+    std::fill(latch_shadow_.begin(), latch_shadow_.end(), 0);
+    refresh_deadline();
   }
 
   /// Registers a device for time advancement.

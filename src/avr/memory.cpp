@@ -43,13 +43,21 @@ void ProgramMemory::program_page(std::uint32_t byte_addr,
   ++generation_;
 }
 
-support::Bytes ProgramMemory::dump() const {
-  support::Bytes out;
-  out.reserve(size_bytes());
-  for (std::uint16_t w : words_) {
-    out.push_back(static_cast<std::uint8_t>(w & 0xFF));
-    out.push_back(static_cast<std::uint8_t>(w >> 8));
+support::Bytes ProgramMemory::read_bytes(std::uint32_t byte_addr,
+                                         std::uint32_t len) const {
+  MAVR_REQUIRE(len <= size_bytes() && byte_addr <= size_bytes() - len,
+               "flash read beyond end of flash");
+  support::Bytes out(len);
+  std::uint32_t a = byte_addr, i = 0;
+  if ((a & 1) != 0 && len > 0) {
+    out[i++] = static_cast<std::uint8_t>(words_[a++ / 2] >> 8);
   }
+  for (; i + 1 < len; i += 2, a += 2) {
+    const std::uint16_t w = words_[a / 2];
+    out[i] = static_cast<std::uint8_t>(w & 0xFF);
+    out[i + 1] = static_cast<std::uint8_t>(w >> 8);
+  }
+  if (i < len) out[i] = static_cast<std::uint8_t>(words_[a / 2] & 0xFF);
   return out;
 }
 

@@ -6,6 +6,7 @@
 // into code reuse (paper §III).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -61,9 +62,14 @@ class ProgramMemory {
   /// decode cache to know when cached decodes are stale.
   std::uint64_t generation() const { return generation_; }
 
+  /// Copies `len` bytes starting at `byte_addr` out of the flash in one
+  /// pass (bootloader readback). Throws PreconditionError when the range
+  /// leaves the flash; the check cannot wrap.
+  support::Bytes read_bytes(std::uint32_t byte_addr, std::uint32_t len) const;
+
   /// Copies the flash contents out as bytes (test/verification support;
   /// the readout-protection policy is enforced one level up, in sim::Board).
-  support::Bytes dump() const;
+  support::Bytes dump() const { return read_bytes(0, size_bytes()); }
 
  private:
   std::uint32_t wrap_word(std::uint32_t word_addr) const {
@@ -170,6 +176,9 @@ class Eeprom {
   std::uint32_t size() const {
     return static_cast<std::uint32_t>(bytes_.size());
   }
+
+  /// Blanks every cell to 0xFF, the erased state a new part ships in.
+  void erase() { std::fill(bytes_.begin(), bytes_.end(), 0xFF); }
 
  private:
   std::vector<std::uint8_t> bytes_;

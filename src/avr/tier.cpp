@@ -127,6 +127,26 @@ void fuse_pairs(std::vector<TierOp>& arena, TierBlock& blk,
 
 }  // namespace
 
+// Out of line on purpose: sync() runs once per run(), and inlined into
+// Cpu::run_tier its map allocation reshapes the executor's register use.
+void SuperblockCache::sync(const ProgramMemory& flash,
+                           std::uint64_t io_handler_gen) {
+  if (map.empty()) map = support::ZeroPages<std::uint64_t>(flash.size_words());
+  if (generation != flash.generation() ||
+      handler_generation != io_handler_gen) {
+    if (generation != flash.generation() && !blocks.empty()) {
+      ++stats.invalidations;
+    }
+    generation = flash.generation();
+    handler_generation = io_handler_gen;
+    if (!blocks.empty()) {
+      blocks.clear();
+      arena.clear();
+    }
+    ++epoch;
+  }
+}
+
 const TierBlock& SuperblockCache::translate(const ProgramMemory& flash,
                                             const std::uint8_t* dispatch,
                                             std::uint32_t head_pc,

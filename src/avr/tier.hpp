@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "avr/memory.hpp"
+#include "support/zero_pages.hpp"
 
 namespace mavr::avr {
 
@@ -131,29 +132,16 @@ struct TierStats {
 
 /// Translation cache: one map slot per flash word holding an epoch-tagged
 /// block index. Stale epochs read as "not translated", so invalidation
-/// never walks the map.
+/// never walks the map. The map sits on zero pages: a zero slot carries
+/// epoch 0, which never matches (epochs start at 1 and only grow), so a
+/// cache pays only for the map pages its block heads touch.
 class SuperblockCache {
  public:
   /// Sizes the map on first use and invalidates when the flash generation
   /// moved (any bootloader erase/program since the last run) or a new I/O
   /// handler was registered (translation resolves the dispatch map
   /// statically, so a later registration must retranslate).
-  void sync(const ProgramMemory& flash, std::uint64_t io_handler_gen) {
-    if (map.empty()) map.assign(flash.size_words(), 0);
-    if (generation != flash.generation() ||
-        handler_generation != io_handler_gen) {
-      if (generation != flash.generation() && !blocks.empty()) {
-        ++stats.invalidations;
-      }
-      generation = flash.generation();
-      handler_generation = io_handler_gen;
-      if (!blocks.empty()) {
-        blocks.clear();
-        arena.clear();
-      }
-      ++epoch;
-    }
-  }
+  void sync(const ProgramMemory& flash, std::uint64_t io_handler_gen);
 
   const TierBlock* find(std::uint32_t head_pc) const {
     const std::uint64_t slot = map[head_pc];
@@ -171,9 +159,19 @@ class SuperblockCache {
                              std::uint32_t data_size,
                              std::uint8_t push_bytes);
 
+  /// Back to the observable state of a new cache: no blocks, zero stats.
+  /// The epoch moves on (never back), so every slot left in the map from
+  /// before reads as untranslated; the map keeps its pages.
+  void power_on() {
+    blocks.clear();
+    arena.clear();
+    ++epoch;
+    stats = TierStats{};
+  }
+
   std::vector<TierOp> arena;
   std::vector<TierBlock> blocks;
-  std::vector<std::uint64_t> map;
+  support::ZeroPages<std::uint64_t> map;
   std::uint64_t epoch = 1;
   std::uint64_t generation = ~std::uint64_t{0};
   std::uint64_t handler_generation = ~std::uint64_t{0};

@@ -38,6 +38,14 @@ class Timer : public Tickable {
   bool pending() const { return pending_; }
   std::uint64_t fires() const { return fires_; }
 
+  /// Power-on: first compare match one period after cycle 0, nothing
+  /// pending or fired.
+  void power_on() {
+    next_ = period_;
+    pending_ = false;
+    fires_ = 0;
+  }
+
   void tick(std::uint64_t now_cycles) override {
     if (now_cycles < next_) return;
     // Closed-form catch-up: identical fires()/pending semantics to the old

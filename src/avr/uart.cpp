@@ -45,6 +45,14 @@ void Uart::host_send(std::span<const std::uint8_t> bytes) {
   }
 }
 
+void Uart::power_on() {
+  rx_cursor_ = 0;
+  rx_underruns_ = 0;
+  rx_.clear();
+  tx_.clear();
+  tap_ = nullptr;
+}
+
 support::Bytes Uart::host_take_tx() {
   support::Bytes out;
   out.swap(tx_);

@@ -80,6 +80,10 @@ class Uart {
   void set_tap(UartTap* tap) { tap_ = tap; }
   UartTap* tap() const { return tap_; }
 
+  /// Power-on: both directions empty, pacing cursor and underrun count at
+  /// zero, tap detached.
+  void power_on();
+
   /// Simulated cycles needed to transfer `count` bytes at the line rate.
   std::uint64_t cycles_for_bytes(std::uint64_t count) const {
     return count * cycles_per_byte_;

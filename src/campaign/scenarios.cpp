@@ -9,6 +9,7 @@
 #include "sim/ground.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
+#include "toolchain/intelhex.hpp"
 
 namespace mavr::campaign {
 
@@ -31,16 +32,26 @@ TrialResult run_bruteforce_trial(Scenario scenario, std::uint32_t n_functions,
   return result;
 }
 
+/// The calling worker thread's board, powered on. A trial sees exactly a
+/// freshly constructed Board (Board::power_on's contract) without paying
+/// for one: the board, its flash and its mapped code caches are built once
+/// per thread and only the pages a trial touches are ever backed.
+sim::Board& worker_board(const CampaignConfig& config) {
+  thread_local sim::Board board;
+  board.power_on();
+  board.cpu().set_exec_tier(config.exec_tier);
+  return board;
+}
+
 TrialResult run_board_trial(const SimFixture& fx, const CampaignConfig& config,
                             support::Rng& rng) {
   defense::ExternalFlash flash;
-  sim::Board board;
-  board.cpu().set_exec_tier(config.exec_tier);
+  sim::Board& board = worker_board(config);
   defense::MasterConfig mcfg;
   mcfg.seed = rng.next();  // per-trial permutation stream
   mcfg.watchdog_timeout_cycles = config.watchdog_timeout_cycles;
   defense::MasterProcessor master(flash, board, mcfg);
-  master.host_upload_hex(fx.container_hex);
+  master.host_upload(fx.container);
   master.boot();
   const std::uint64_t start_cycles = board.cpu().cycles();
   board.run_cycles(config.warmup_cycles);
@@ -102,8 +113,7 @@ TrialResult run_board_trial(const SimFixture& fx, const CampaignConfig& config,
 TrialResult run_detect_trial(const SimFixture& fx, const CampaignConfig& config,
                              support::Rng& rng) {
   defense::ExternalFlash flash;
-  sim::Board board;
-  board.cpu().set_exec_tier(config.exec_tier);
+  sim::Board& board = worker_board(config);
   defense::MasterConfig mcfg;
   mcfg.seed = rng.next();  // per-trial permutation stream
   mcfg.watchdog_timeout_cycles = config.watchdog_timeout_cycles;
@@ -123,7 +133,7 @@ TrialResult run_detect_trial(const SimFixture& fx, const CampaignConfig& config,
   master.attach_detector(&engine);
   if (derived) master.attach_policy(&fx.policy);
 
-  master.host_upload_hex(fx.container_hex);
+  master.host_upload(fx.container);
   master.boot();  // programs the image and rebuilds the engine's CFI set
   const std::uint64_t start_cycles = board.cpu().cycles();
   board.run_cycles(config.warmup_cycles);
@@ -197,13 +207,12 @@ TrialResult run_detect_trial(const SimFixture& fx, const CampaignConfig& config,
 TrialResult run_fault_trial(const SimFixture& fx, const CampaignConfig& config,
                             support::Rng& rng) {
   defense::ExternalFlash flash;
-  sim::Board board;
-  board.cpu().set_exec_tier(config.exec_tier);
+  sim::Board& board = worker_board(config);
   defense::MasterConfig mcfg;
   mcfg.seed = rng.next();  // per-trial permutation stream
   mcfg.watchdog_timeout_cycles = config.watchdog_timeout_cycles;
   defense::MasterProcessor master(flash, board, mcfg);
-  master.host_upload_hex(fx.container_hex);
+  master.host_upload(fx.container);
   master.boot();  // fault-free: establishes the last-known-good image
   const std::uint64_t start_cycles = board.cpu().cycles();
 
@@ -244,6 +253,7 @@ SimFixture make_sim_fixture(const firmware::AppProfile& profile) {
   fx.fw = firmware::generate(profile, toolchain::ToolchainOptions::mavr());
   fx.plan = attack::analyze(fx.fw.image);
   fx.container_hex = defense::preprocess_to_hex(fx.fw.image);
+  fx.container = toolchain::intel_hex_decode(fx.container_hex).data;
   attack::GadgetFinder finder(fx.fw.image);
   for (const attack::StkMoveGadget& g : finder.stk_moves()) {
     if (g.pops.size() <= 3) fx.usable_stk.push_back(g);  // chain must fit

@@ -1,12 +1,13 @@
 // Scenario implementations for the campaign engine.
 //
 // Board scenarios (v1/v2/v3) replay the paper's §VII-A evaluation at
-// population scale: every trial stands up its own board behind a MAVR
-// master seeded from the trial's forked Rng stream, so each trial attacks
-// a *different* fresh permutation with a payload derived from the stock
-// binary (threat model §IV-A — the attacker never sees the randomized
-// image). Brute-force scenarios run the §V-D analytic models' Monte-Carlo
-// counterparts, one model draw per trial.
+// population scale: every trial gets a board in freshly constructed state
+// (its worker thread's board, powered on) behind a MAVR master seeded from
+// the trial's forked Rng stream, so each trial attacks a *different* fresh
+// permutation with a payload derived from the stock binary (threat model
+// §IV-A — the attacker never sees the randomized image). Brute-force
+// scenarios run the §V-D analytic models' Monte-Carlo counterparts, one
+// model draw per trial.
 #pragma once
 
 #include "attack/attacks.hpp"
@@ -14,6 +15,7 @@
 #include "detect/policy.hpp"
 #include "firmware/generator.hpp"
 #include "firmware/profile.hpp"
+#include "support/bytes.hpp"
 
 namespace mavr::campaign {
 
@@ -24,6 +26,7 @@ struct SimFixture {
   firmware::Firmware fw;            ///< stock vulnerable build (MAVR flags)
   attack::AttackPlan plan;          ///< offline analysis of the stock image
   std::string container_hex;       ///< preprocessed container for the master
+  support::Bytes container;         ///< container_hex decoded, for uploads
   std::vector<attack::StkMoveGadget> usable_stk;  ///< brute-forceable guesses
   /// Analysis-derived per-function detector policy (blob function order),
   /// computed once from the stock image — layout-invariant, so every

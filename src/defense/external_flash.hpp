@@ -49,8 +49,10 @@ class ExternalFlash {
 
   /// Streams the whole chip through read() — the master's container fetch
   /// path, subject to read faults. Distinct calls see distinct fault draws,
-  /// which is what makes a bounded re-read retry meaningful.
+  /// which is what makes a bounded re-read retry meaningful. With no plane
+  /// attached every read() is the stored byte, so the chip copies in bulk.
   support::Bytes read_all() const {
+    if (faults_ == nullptr) return data_;
     support::Bytes out(data_.size());
     for (std::uint32_t i = 0; i < out.size(); ++i) out[i] = read(i);
     return out;

@@ -14,9 +14,12 @@ MasterProcessor::MasterProcessor(ExternalFlash& flash, sim::Board& board,
                                  const MasterConfig& config)
     : flash_(flash), board_(board), config_(config), rng_(config.seed) {}
 
+void MasterProcessor::host_upload(std::span<const std::uint8_t> container) {
+  flash_.store(container);  // stored verbatim (paper §VI-B2)
+}
+
 void MasterProcessor::host_upload_hex(const std::string& hex) {
-  const toolchain::HexImage decoded = toolchain::intel_hex_decode(hex);
-  flash_.store(decoded.data);  // stored verbatim (paper §VI-B2)
+  host_upload(toolchain::intel_hex_decode(hex).data);
 }
 
 std::size_t MasterProcessor::symbol_count() const {

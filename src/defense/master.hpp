@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -130,7 +131,11 @@ class MasterProcessor {
   MasterProcessor(ExternalFlash& flash, sim::Board& board,
                   const MasterConfig& config);
 
-  /// Host flashing path: preprocessed HEX → external flash (§VI-B2).
+  /// Host flashing path: preprocessed container bytes → external flash
+  /// (§VI-B2), stored verbatim.
+  void host_upload(std::span<const std::uint8_t> container);
+
+  /// Same, from the container's Intel HEX form (decoded, then uploaded).
   void host_upload_hex(const std::string& hex);
 
   /// Power-on: programs the application processor, randomizing according

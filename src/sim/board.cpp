@@ -86,13 +86,10 @@ support::Bytes Board::bootloader_read_page(std::uint32_t byte_addr,
   MAVR_REQUIRE(in_bootloader_, "not in bootloader");
   MAVR_REQUIRE(!readout_protected_,
                "bootloader readback blocked by protection fuse");
-  MAVR_REQUIRE(byte_addr + len <= cpu_.spec().flash_bytes,
+  const std::uint32_t flash_bytes = cpu_.spec().flash_bytes;
+  MAVR_REQUIRE(len <= flash_bytes && byte_addr <= flash_bytes - len,
                "readback beyond end of flash");
-  support::Bytes out(len);
-  for (std::uint32_t i = 0; i < len; ++i) {
-    out[i] = cpu_.flash().byte(byte_addr + i);
-  }
-  return out;
+  return cpu_.flash().read_bytes(byte_addr, len);
 }
 
 void Board::bootloader_run_application() {
@@ -102,6 +99,23 @@ void Board::bootloader_run_application() {
 }
 
 void Board::reset() { cpu_.reset(); }
+
+void Board::power_on() {
+  hook_tracer_.reset();
+  faults_ = nullptr;
+  readout_protected_ = false;
+  in_bootloader_ = false;
+  erased_this_session_ = false;
+  flash_write_cycles_ = 0;
+  uart_->power_on();
+  for (auto& servo : servo_) servo->power_on();
+  feed_->power_on();
+  led_->power_on();
+  timer_->power_on();
+  // Last: the bus re-reads the timer's deadline and the latched inputs
+  // (the sensors) go back to zero with it.
+  cpu_.power_on();
+}
 
 void Board::run_cycles(std::uint64_t cycles) {
   if (in_bootloader_) return;  // core held in the bootloader stub

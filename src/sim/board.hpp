@@ -95,7 +95,17 @@ class Board {
 
   // --- Execution ----------------------------------------------------------------
   /// Hard reset of the application core (data memory cleared, PC = 0).
+  /// The cycle counter and every device keep running: one timeline.
   void reset();
+
+  /// Returns a used board to the exact state of a freshly constructed one,
+  /// so a worker can run trial after trial on one board (and its mapped
+  /// code caches) instead of building a new one each time. Flash erased,
+  /// EEPROM blank, CPU counters and tier stats zero; tracer, trace hook,
+  /// fault plane and UART tap detached; UART, timer, output ports, latched
+  /// inputs and bus clock at power-on; fuse, bootloader and endurance
+  /// fields cleared. Unlike reset(), it restarts the whole timeline.
+  void power_on();
 
   /// Runs the application for `cycles` CPU cycles (no-op in bootloader).
   void run_cycles(std::uint64_t cycles);

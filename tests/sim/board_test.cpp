@@ -80,6 +80,37 @@ TEST(Board, BootloaderReadbackDiscipline) {
   board.bootloader_run_application();
 }
 
+TEST(Board, BootloaderReadbackRangeCannotWrap) {
+  sim::Board board;
+  board.bootloader_enter();
+  board.bootloader_erase();
+  support::Bytes page(256);
+  for (std::size_t i = 0; i < page.size(); ++i) {
+    page[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  board.bootloader_write_page(0, page);
+  // 0xFFFFFF00 + 0x200 wraps to 0x100 in 32 bits; the range itself is far
+  // past the end of flash.
+  EXPECT_THROW(board.bootloader_read_page(0xFFFFFF00u, 0x200),
+               support::PreconditionError);
+  EXPECT_THROW(board.bootloader_read_page(1, 0xFFFFFFFFu),
+               support::PreconditionError);
+  const std::uint32_t flash_bytes = board.cpu().spec().flash_bytes;
+  EXPECT_THROW(board.bootloader_read_page(flash_bytes, 1),
+               support::PreconditionError);
+  EXPECT_TRUE(board.bootloader_read_page(flash_bytes, 0).empty());
+  EXPECT_EQ(board.bootloader_read_page(0, flash_bytes),
+            board.cpu().flash().dump());
+  // Odd start and odd length: the one-pass copy matches the byte view.
+  const support::Bytes got = board.bootloader_read_page(3, 201);
+  ASSERT_EQ(got.size(), 201u);
+  for (std::uint32_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], board.cpu().flash().byte(3 + i)) << "byte " << 3 + i;
+  }
+  EXPECT_EQ(board.bootloader_read_page(0, 256), page);
+  board.bootloader_run_application();
+}
+
 TEST(Board, CoreHeldWhileInBootloader) {
   sim::Board board;
   board.flash_image(fw().image.bytes);
