@@ -116,6 +116,32 @@ TEST(TierInterrupt, DeliveryLatencyMatchesInterpreterExactly) {
   EXPECT_GT(total_irqs, 30u);  // the spin really was interrupted
 }
 
+TEST(TierDeadline, UnboundedBudgetRunsToBreakInBothModes) {
+  // run(UINT64_MAX) after some cycles have elapsed: the deadline must
+  // saturate rather than wrap into the past, so both execution paths run
+  // the countdown to its BREAK and stop in the same state.
+  std::vector<std::uint16_t> words;
+  words.push_back(toolchain::enc_imm(Op::Ldi, 25, 20));
+  words.push_back(toolchain::enc_one_reg(Op::Dec, 25));  // loop: dec r25
+  words.push_back(toolchain::enc_branch(Op::Brbc, avr::kZ, -2));  // brne
+  words.push_back(toolchain::enc_imm(Op::Ldi, 24, 0x05));
+  words.push_back(toolchain::enc_no_operand(Op::Break));
+  const auto finish = [&](bool exec_tier) {
+    Cpu cpu(avr::atmega2560());
+    cpu.set_exec_tier(exec_tier);
+    cpu.flash().program(to_image(words));
+    cpu.reset();
+    cpu.run(10);
+    EXPECT_EQ(cpu.state(), avr::CpuState::Running);
+    const std::uint64_t ran = cpu.run(UINT64_MAX);
+    EXPECT_EQ(cpu.state(), avr::CpuState::Stopped);
+    EXPECT_EQ(cpu.data().raw(24), 0x05);
+    return std::tuple{ran, cpu.cycles(), cpu.instructions_retired(),
+                      cpu.pc(), cpu.sp(), cpu.sreg(), cpu.data().raw(25)};
+  };
+  EXPECT_EQ(finish(true), finish(false));
+}
+
 struct CoreState {
   std::uint64_t cycles;
   std::uint64_t retired;

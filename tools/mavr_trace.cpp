@@ -10,6 +10,7 @@
 // --attack-v2 boots the vulnerable testapp, arms the forbidden-zone SP
 // watch on the PARAM_SET packet buffer and launches the paper's stealthy
 // V2 attack, demonstrating the exactly-once pivot detection.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +22,7 @@
 #include "firmware/profile.hpp"
 #include "sim/board.hpp"
 #include "sim/ground.hpp"
+#include "support/parse.hpp"
 #include "trace/session.hpp"
 
 namespace {
@@ -33,6 +35,11 @@ int usage() {
       "                  [--capacity N] [--trace-out FILE] [--csv-out FILE]\n"
       "                  [--top N] [--watch-sp LO:HI[:inside]] [--attack-v2]\n");
   return 2;
+}
+
+int bad_value(const char* flag, const char* value) {
+  std::fprintf(stderr, "invalid value for %s: '%s'\n", flag, value);
+  return usage();
 }
 
 bool write_file(const std::string& path, const std::string& contents) {
@@ -70,17 +77,26 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--profile") == 0) {
       profile_name = need_value("--profile");
     } else if (std::strcmp(argv[i], "--cycles") == 0) {
-      cycles = std::strtoull(need_value("--cycles"), nullptr, 0);
+      const char* v = need_value("--cycles");
+      const auto parsed = support::parse_u64(v);
+      if (!parsed) return bad_value("--cycles", v);
+      cycles = *parsed;
     } else if (std::strcmp(argv[i], "--events") == 0) {
       events = need_value("--events");
     } else if (std::strcmp(argv[i], "--capacity") == 0) {
-      capacity = std::strtoull(need_value("--capacity"), nullptr, 0);
+      const char* v = need_value("--capacity");
+      const auto parsed = support::parse_u64_in(v, 1, SIZE_MAX);
+      if (!parsed) return bad_value("--capacity", v);
+      capacity = static_cast<std::size_t>(*parsed);
     } else if (std::strcmp(argv[i], "--trace-out") == 0) {
       trace_out = need_value("--trace-out");
     } else if (std::strcmp(argv[i], "--csv-out") == 0) {
       csv_out = need_value("--csv-out");
     } else if (std::strcmp(argv[i], "--top") == 0) {
-      top = std::strtoull(need_value("--top"), nullptr, 0);
+      const char* v = need_value("--top");
+      const auto parsed = support::parse_u64_in(v, 0, SIZE_MAX);
+      if (!parsed) return bad_value("--top", v);
+      top = static_cast<std::size_t>(*parsed);
     } else if (std::strcmp(argv[i], "--watch-sp") == 0) {
       char mode[16] = {};
       const char* spec = need_value("--watch-sp");
@@ -96,10 +112,6 @@ int main(int argc, char** argv) {
     } else {
       return usage();
     }
-  }
-  if (capacity == 0) {
-    std::fprintf(stderr, "--capacity must be greater than zero\n");
-    return 2;
   }
 
   firmware::AppProfile profile;
