@@ -44,7 +44,7 @@ int main() {
 
   int stage = 0;
   int store_hits = 0;
-  board.set_trace_hook([&](const avr::Cpu& cpu) {
+  const auto on_step = [&](const avr::Cpu& cpu) {
     if (stage == 0 && cpu.pc() == handler_word) {
       dump("(i) clean stack before payload execution", tail, 24);
       stage = 1;
@@ -76,12 +76,23 @@ int main() {
            frame.p - 8, 12);
       stage = 6;
     }
-  });
+  };
+  // Runs on_step after every retired instruction, when pc() already names
+  // the next instruction to execute.
+  struct StageProbe : avr::Tracer {
+    explicit StageProbe(decltype(on_step)& f) : step(f) {}
+    void on_retire(const avr::Cpu& cpu, std::uint32_t, const avr::Instr&,
+                   std::uint32_t) override {
+      step(cpu);
+    }
+    decltype(on_step)& step;
+  } probe(on_step);
+  board.cpu().set_tracer(&probe);
 
   const attack::Write3 write{plan.gyro_cal_addr, {0x11, 0x22, 0x33}};
   gcs.send_raw_param_set(plan.builder().v2_payload({write}));
   board.run_cycles(5'000'000);
-  board.set_trace_hook(nullptr);
+  board.cpu().set_tracer(nullptr);
 
   dump("(vii) repaired stack for continued execution", tail, 24);
   std::printf("\nvictim state: %s; gyro calibration now %02X %02X %02X "

@@ -45,23 +45,32 @@ VictimFrame probe_victim(const toolchain::Image& stock_image,
   mavlink::ParamSet benign;
   gcs.send_param_set(benign);
 
+  // Captures the frame at the handler's first instruction: on_retire sees
+  // the Cpu with pc() at the next instruction to execute.
+  struct EntryProbe : avr::Tracer {
+    std::uint32_t entry_word = 0;
+    VictimFrame* frame = nullptr;
+    bool captured = false;
+    void on_retire(const avr::Cpu& cpu, std::uint32_t, const avr::Instr&,
+                   std::uint32_t) override {
+      if (captured || cpu.pc() != entry_word) return;
+      captured = true;
+      frame->p = cpu.sp();
+      for (unsigned r = 0; r < 32; ++r) frame->regs_at_entry[r] = cpu.reg(r);
+      for (unsigned i = 0; i < 3; ++i) {
+        frame->ret_bytes[i] = cpu.data().raw(frame->p + 1 + i);
+      }
+    }
+  };
   VictimFrame frame;
   frame.frame_bytes = frame_bytes;
-  bool captured = false;
-  const std::uint32_t entry_word = handler_byte_addr / 2;
-  replica.set_trace_hook([&](const avr::Cpu& cpu) {
-    if (captured || cpu.pc() != entry_word) return;
-    captured = true;
-    frame.p = cpu.sp();
-    for (unsigned r = 0; r < 32; ++r) {
-      frame.regs_at_entry[r] = cpu.reg(r);
-    }
-    for (unsigned i = 0; i < 3; ++i) {
-      frame.ret_bytes[i] = cpu.data().raw(frame.p + 1 + i);
-    }
-  });
+  EntryProbe probe;
+  probe.entry_word = handler_byte_addr / 2;
+  probe.frame = &frame;
+  replica.cpu().set_tracer(&probe);
   replica.run_cycles(3'000'000);
-  replica.set_trace_hook(nullptr);
+  replica.cpu().set_tracer(nullptr);
+  const bool captured = probe.captured;
   MAVR_REQUIRE(captured, "probe never reached the vulnerable handler");
   frame.buffer_addr = static_cast<std::uint16_t>(frame.p - frame_bytes - 1);
   frame.ram_end = static_cast<std::uint16_t>(replica.cpu().spec().ramend());

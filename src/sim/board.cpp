@@ -101,7 +101,6 @@ void Board::bootloader_run_application() {
 void Board::reset() { cpu_.reset(); }
 
 void Board::power_on() {
-  hook_tracer_.reset();
   faults_ = nullptr;
   readout_protected_ = false;
   in_bootloader_ = false;
@@ -120,20 +119,6 @@ void Board::power_on() {
 void Board::run_cycles(std::uint64_t cycles) {
   if (in_bootloader_) return;  // core held in the bootloader stub
   cpu_.run(cycles);
-}
-
-void Board::set_trace_hook(std::function<void(const avr::Cpu&)> hook) {
-  if (hook) {
-    hook_tracer_ = std::make_unique<HookTracer>(std::move(hook));
-    cpu_.set_tracer(hook_tracer_.get());
-    return;
-  }
-  // Only release the tracer slot if it is still ours — a trace::Session
-  // attached after us keeps its hooks.
-  if (hook_tracer_ && cpu_.tracer() == hook_tracer_.get()) {
-    cpu_.set_tracer(nullptr);
-  }
-  hook_tracer_.reset();
 }
 
 }  // namespace mavr::sim

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "avr/cpu.hpp"
@@ -101,7 +100,7 @@ class Board {
   /// Returns a used board to the exact state of a freshly constructed one,
   /// so a worker can run trial after trial on one board (and its mapped
   /// code caches) instead of building a new one each time. Flash erased,
-  /// EEPROM blank, CPU counters and tier stats zero; tracer, trace hook,
+  /// EEPROM blank, CPU counters and tier stats zero; tracer,
   /// fault plane and UART tap detached; UART, timer, output ports, latched
   /// inputs and bus clock at power-on; fuse, bootloader and endurance
   /// fields cleared. Unlike reset(), it restarts the whole timeline.
@@ -114,14 +113,6 @@ class Board {
   bool crashed() const {
     return cpu_.state() == avr::CpuState::Faulted;
   }
-
-  /// Per-instruction observation hook (used by the attacker's replica run
-  /// to locate the vulnerable frame). Pass nullptr to remove. Implemented
-  /// as an avr::Tracer retire hook, so it observes the Cpu with pc() at the
-  /// next instruction to execute — the same point the old pre-step loop
-  /// exposed. Installing a hook claims the Cpu's tracer slot; for composite
-  /// sinks attach a trace::Session to cpu() directly instead.
-  void set_trace_hook(std::function<void(const avr::Cpu&)> hook);
 
   // --- Peripherals ----------------------------------------------------------------
   avr::Cpu& cpu() { return cpu_; }
@@ -136,20 +127,6 @@ class Board {
   avr::Timer& tick_timer() { return *timer_; }
 
  private:
-  /// Adapts the legacy std::function hook onto the Tracer interface.
-  class HookTracer : public avr::Tracer {
-   public:
-    explicit HookTracer(std::function<void(const avr::Cpu&)> hook)
-        : hook_(std::move(hook)) {}
-    void on_retire(const avr::Cpu& cpu, std::uint32_t, const avr::Instr&,
-                   std::uint32_t) override {
-      hook_(cpu);
-    }
-
-   private:
-    std::function<void(const avr::Cpu&)> hook_;
-  };
-
   avr::Cpu cpu_;
   std::unique_ptr<avr::Uart> uart_;
   std::unique_ptr<Sensor16> gyro_[3];
@@ -158,7 +135,6 @@ class Board {
   std::unique_ptr<avr::OutputPort> feed_;
   std::unique_ptr<avr::OutputPort> led_;
   std::unique_ptr<avr::Timer> timer_;
-  std::unique_ptr<HookTracer> hook_tracer_;
   support::FaultPlane* faults_ = nullptr;
   bool readout_protected_ = false;
   bool in_bootloader_ = false;

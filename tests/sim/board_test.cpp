@@ -162,15 +162,21 @@ TEST(Board, SensorsReachTheFirmware) {
 }
 
 TEST(Board, TraceHookSeesEveryInstruction) {
+  struct Counter : avr::Tracer {
+    void on_retire(const avr::Cpu&, std::uint32_t, const avr::Instr&,
+                   std::uint32_t) override {
+      ++calls;
+    }
+    std::uint64_t calls = 0;
+  } counter;
   sim::Board board;
   board.flash_image(fw().image.bytes);
-  std::uint64_t hook_calls = 0;
-  board.set_trace_hook([&](const avr::Cpu&) { ++hook_calls; });
+  board.cpu().set_tracer(&counter);
   board.run_cycles(10'000);
-  EXPECT_EQ(hook_calls, board.cpu().instructions_retired());
-  board.set_trace_hook(nullptr);
+  EXPECT_EQ(counter.calls, board.cpu().instructions_retired());
+  board.cpu().set_tracer(nullptr);
   board.run_cycles(10'000);
-  EXPECT_GT(board.cpu().instructions_retired(), hook_calls);
+  EXPECT_GT(board.cpu().instructions_retired(), counter.calls);
 }
 
 TEST(Flight, ServoAuthorityDampsRollRate) {

@@ -50,7 +50,7 @@ struct Observed {
   support::Bytes uart_tx;
   std::size_t uart_backlog = 0;
   std::uint64_t uart_underruns = 0;
-  std::array<std::uint64_t, 9> tier{};
+  std::array<std::uint64_t, 8> tier{};
   bool operator==(const Observed&) const = default;
 };
 
@@ -79,9 +79,17 @@ Observed observe(sim::Board& board) {
   const avr::TierStats& t = cpu.tier_stats();
   o.tier = {t.blocks_translated, t.invalidations, t.blocks_executed,
             t.block_instructions, t.side_exits, t.io_dispatches,
-            t.self_loops, t.interp_steps, t.fused_pairs};
+            t.interp_steps, t.fused_pairs};
   return o;
 }
+
+struct CountingTracer : avr::Tracer {
+  void on_retire(const avr::Cpu&, std::uint32_t, const avr::Instr&,
+                 std::uint32_t) override {
+    ++calls;
+  }
+  std::uint64_t calls = 0;
+};
 
 struct CountingTap : avr::UartTap {
   void on_tx(std::uint64_t, std::uint8_t) override { ++events; }
@@ -93,11 +101,11 @@ struct CountingTap : avr::UartTap {
 /// Uses `board` for one full, messy trial and leaves it that way: a
 /// detector armed, a fault plane attached, two reflashes, sensors set, an
 /// EEPROM cell written, a UART backlog, servo history, the fuse set, a
-/// trace hook and UART tap installed, the tier off, and the core parked in
+/// tracer and UART tap installed, the tier off, and the core parked in
 /// the bootloader. The engine and the plane die here, so the board is left
 /// holding pointers to dead objects — exactly what a campaign worker's
 /// board holds between trials.
-void dirty(sim::Board& board, std::uint64_t& hook_calls, CountingTap& tap) {
+void dirty(sim::Board& board, CountingTracer& tracer, CountingTap& tap) {
   const campaign::SimFixture& fx = fixture();
   defense::ExternalFlash flash;
   defense::MasterConfig mcfg;
@@ -122,7 +130,7 @@ void dirty(sim::Board& board, std::uint64_t& hook_calls, CountingTap& tap) {
   board.telemetry().set_tap(&tap);
   board.telemetry().host_send(support::Bytes(400, 0x55));
   board.run_cycles(50'000);  // leaves most of the 400 bytes queued
-  board.set_trace_hook([&hook_calls](const avr::Cpu&) { ++hook_calls; });
+  board.cpu().set_tracer(&tracer);
   board.run_cycles(10'000);
   board.set_readout_protection();
   board.cpu().set_exec_tier(false);
@@ -168,10 +176,10 @@ TEST(PowerOn, UsedBoardFliesLikeAFreshOne) {
     const Observed want = fly(fresh, tier);
 
     sim::Board reused;
-    std::uint64_t hook_calls = 0;
+    CountingTracer tracer;
     CountingTap tap;
-    dirty(reused, hook_calls, tap);
-    const std::uint64_t hooks_before = hook_calls;
+    dirty(reused, tracer, tap);
+    const std::uint64_t hooks_before = tracer.calls;
     const std::uint64_t taps_before = tap.events;
     reused.power_on();
     EXPECT_FALSE(reused.in_bootloader());
@@ -181,7 +189,7 @@ TEST(PowerOn, UsedBoardFliesLikeAFreshOne) {
     EXPECT_TRUE(reused.cpu().exec_tier());
 
     const Observed got = fly(reused, tier);
-    EXPECT_EQ(hook_calls, hooks_before) << "trace hook survived power_on";
+    EXPECT_EQ(tracer.calls, hooks_before) << "tracer survived power_on";
     EXPECT_EQ(tap.events, taps_before) << "UART tap survived power_on";
     EXPECT_EQ(std::memcmp(got.data.data(), want.data.data(),
                           want.data.size()),
@@ -213,9 +221,9 @@ TEST(PowerOn, UsedBoardFliesLikeAFreshOne) {
 TEST(PowerOn, PoweredOnBoardEqualsFreshBeforeAnyRun) {
   sim::Board fresh;
   sim::Board reused;
-  std::uint64_t hook_calls = 0;
+  CountingTracer tracer;
   CountingTap tap;
-  dirty(reused, hook_calls, tap);
+  dirty(reused, tracer, tap);
   reused.power_on();
   EXPECT_TRUE(observe(reused) == observe(fresh));
   EXPECT_EQ(reused.flash_write_cycles(), 0u);

@@ -366,26 +366,5 @@ TEST(Session, V2StealthyAttackFiresSpWatchpointExactlyOnce) {
   EXPECT_NE(session.trace().jsonl().find("watch_hit"), std::string::npos);
 }
 
-TEST(Session, LegacyBoardHookIsNotClobbered) {
-  // Board::set_trace_hook(nullptr) must release the tracer slot only when
-  // it still owns it — an externally attached Session wins.
-  sim::Board board;
-  board.flash_image(vuln_fw().image.bytes);
-  board.run_cycles(10'000);
-
-  std::uint64_t hook_calls = 0;
-  board.set_trace_hook([&](const avr::Cpu&) { ++hook_calls; });
-  board.run_cycles(1'000);
-  EXPECT_GT(hook_calls, 0u);
-
-  trace::Session session;
-  session.attach(board.cpu());
-  board.set_trace_hook(nullptr);  // stale clear: session still attached
-  EXPECT_NE(board.cpu().tracer(), nullptr);
-  board.run_cycles(1'000);
-  EXPECT_GT(session.trace().total_recorded(), 0u);
-  session.detach();
-}
-
 }  // namespace
 }  // namespace mavr
