@@ -253,16 +253,15 @@ class Cpu {
   const Instr& decoded(std::uint32_t word_addr);
   void fill_decode_slot(std::uint32_t word_addr);
   void sync_decode_cache();
-  void set_flag(SregBit bit, bool value);
-  void flags_add(std::uint8_t d, std::uint8_t r, std::uint8_t carry_in,
-                 std::uint8_t res);
-  void flags_sub(std::uint8_t d, std::uint8_t r, std::uint8_t borrow_in,
-                 std::uint8_t res, bool keep_z);
-  void flags_logic(std::uint8_t res);
+  /// The interpreter's memory discipline for the shared op definitions.
+  template <bool kTraced>
+  struct Bus;
   void push_byte(std::uint8_t value);
   std::uint8_t pop_byte();
   void push_pc(std::uint32_t ret_words);
   std::uint32_t pop_pc();
+  /// Notes a RET/RETI target for last_ret_raw_words().
+  void record_ret(std::uint32_t raw);
   std::uint32_t skip_target(std::uint32_t next_pc) const;
   void fault_now(std::uint32_t pc_words, std::uint16_t opcode,
                  std::string reason);
