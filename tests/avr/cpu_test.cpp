@@ -101,6 +101,17 @@ TEST_F(CpuTest, SbcOnlyClearsZ) {
         enc_two_reg(Op::Sbc, 26, 27)});  // 4-4-0 = 0 -> Z stays set
   step(6);
   EXPECT_TRUE(cpu_.flag(avr::kZ));
+
+  // A zero result after a nonzero low byte leaves Z clear, for SBC and
+  // CPC alike (0x0402 vs 0x0401).
+  for (const Op op : {Op::Sbc, Op::Cpc}) {
+    load({enc_imm(Op::Ldi, 24, 0x02), enc_imm(Op::Ldi, 25, 0x01),
+          enc_two_reg(Op::Sub, 24, 25),  // Z=0, C=0
+          enc_imm(Op::Ldi, 26, 0x04), enc_imm(Op::Ldi, 27, 0x04),
+          enc_two_reg(op, 26, 27)});     // 4-4-0 = 0 -> Z stays clear
+    step(6);
+    EXPECT_FALSE(cpu_.flag(avr::kZ)) << avr::op_name(op);
+  }
 }
 
 TEST_F(CpuTest, LogicClearsV) {
@@ -354,6 +365,23 @@ TEST_F(CpuTest, IndirectAddressingPostIncrement) {
   EXPECT_EQ(cpu_.data().raw(0x0300), 0x11);
   EXPECT_EQ(cpu_.data().raw(0x0301), 0x22);
   EXPECT_EQ(cpu_.reg_pair(26), 0x0302);
+}
+
+TEST_F(CpuTest, PointerWriteBackOrderWhenRdIsThePointer) {
+  // LD/ST with Rd inside the pointer pair: the model writes a
+  // post-increment back after the access and a pre-decrement before it,
+  // so the loaded byte is overwritten and the stored byte is the new one.
+  load({enc_imm(Op::Ldi, 20, 0xAB), enc_sts(0x0300, 20).first,
+        enc_sts(0x0300, 20).second, enc_imm(Op::Ldi, 26, 0x00),
+        enc_imm(Op::Ldi, 27, 0x03), enc_ld_st(Op::LdXInc, 26)});
+  step(5);
+  EXPECT_EQ(cpu_.reg_pair(26), 0x0301);  // r26 = 0xAB, then X+1
+
+  load({enc_imm(Op::Ldi, 26, 0x01), enc_imm(Op::Ldi, 27, 0x03),
+        enc_ld_st(Op::StXDec, 26)});
+  step(3);
+  EXPECT_EQ(cpu_.reg_pair(26), 0x0300);
+  EXPECT_EQ(cpu_.data().raw(0x0300), 0x00);  // the decremented low byte
 }
 
 TEST_F(CpuTest, InvalidOpcodeFaults) {
