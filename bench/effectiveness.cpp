@@ -7,19 +7,20 @@
 #include "attack/attacks.hpp"
 #include "bench_util.hpp"
 #include "campaign/scenarios.hpp"
-#include "defense/preprocess.hpp"
 #include "sim/board.hpp"
 #include "sim/ground.hpp"
-#include "toolchain/intelhex.hpp"
 
 int main() {
   using namespace mavr;
   bench::heading("Effectiveness (paper §VII-A)");
 
   // The paper's test application: ArduPlane with the injected MAVLink
-  // length-check vulnerability.
-  const firmware::Firmware& fw = bench::built(firmware::arduplane(true));
-  const attack::AttackPlan plan = attack::analyze(fw.image);
+  // length-check vulnerability, with everything the offline attacker
+  // derives from the stock binary.
+  const campaign::SimFixture fixture =
+      campaign::make_sim_fixture(firmware::arduplane(true));
+  const firmware::Firmware& fw = fixture.fw;
+  const attack::AttackPlan& plan = fixture.plan;
 
   std::printf("test application: %s (%zu functions, %u bytes)\n",
               fw.profile.name.c_str(), fw.image.function_count(),
@@ -60,17 +61,6 @@ int main() {
     // feed-line watchdog catches it, triggering re-randomization. The
     // campaign engine runs the fleet in parallel with bit-identical
     // aggregation at any jobs count.
-    campaign::SimFixture fixture;
-    fixture.fw = fw;
-    fixture.plan = plan;
-    fixture.container_hex = defense::preprocess_to_hex(fw.image);
-    fixture.container =
-        toolchain::intel_hex_decode(fixture.container_hex).data;
-    attack::GadgetFinder finder(fw.image);
-    for (const attack::StkMoveGadget& g : finder.stk_moves()) {
-      if (g.pops.size() <= 3) fixture.usable_stk.push_back(g);
-    }
-
     campaign::CampaignConfig config;
     config.scenario = campaign::Scenario::kV2;
     config.trials = 8;
