@@ -13,8 +13,8 @@
 //
 //   reflash_faults [--trials N] [--jobs N] [--out FILE.{csv,json}]
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -24,12 +24,25 @@
 #include "campaign/export.hpp"
 #include "campaign/scenarios.hpp"
 #include "support/error.hpp"
+#include "support/parse.hpp"
 
 namespace {
 
 bool ends_with(const std::string& s, const char* suffix) {
   const std::size_t n = std::strlen(suffix);
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
+}
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: reflash_faults [--trials N] [--jobs N] "
+               "[--out FILE.{csv,json}]\n");
+  return 2;
+}
+
+int bad_value(const char* flag, const char* value) {
+  std::fprintf(stderr, "invalid value for %s: '%s'\n", flag, value);
+  return usage();
 }
 
 }  // namespace
@@ -46,16 +59,17 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (const char* v = arg_value("--trials")) {
-      trials = std::strtoull(v, nullptr, 0);
+      const auto n = support::parse_u64_in(v, 1, UINT64_MAX);
+      if (!n) return bad_value("--trials", v);
+      trials = *n;
     } else if (const char* v = arg_value("--jobs")) {
-      jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+      const auto n = support::parse_u64_in(v, 1, 256);
+      if (!n) return bad_value("--jobs", v);
+      jobs = static_cast<unsigned>(*n);
     } else if (const char* v = arg_value("--out")) {
       out_path = v;
     } else {
-      std::fprintf(stderr,
-                   "usage: reflash_faults [--trials N] [--jobs N] "
-                   "[--out FILE.{csv,json}]\n");
-      return 2;
+      return usage();
     }
   }
 

@@ -11,6 +11,7 @@
 #include "defense/preprocess.hpp"
 #include "firmware/generator.hpp"
 #include "firmware/profile.hpp"
+#include "support/parse.hpp"
 
 namespace {
 
@@ -37,7 +38,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--vulnerable") == 0) {
       vulnerable = true;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed_override = std::strtoull(argv[++i], nullptr, 0);
+      const auto seed = support::parse_u64(argv[++i]);
+      if (!seed) {
+        std::fprintf(stderr, "invalid value for --seed: '%s'\n", argv[i]);
+        usage();
+      }
+      seed_override = *seed;
       has_seed = true;
     } else {
       usage();

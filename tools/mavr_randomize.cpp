@@ -5,29 +5,41 @@
 //
 // The output is a plain firmware HEX (what gets programmed into the
 // application processor); it contains no symbol information.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "defense/patcher.hpp"
 #include "defense/preprocess.hpp"
+#include "support/parse.hpp"
 #include "toolchain/intelhex.hpp"
+
+namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: mavr-randomize <container.hex> <out.hex> "
+               "[--seed N] [--stats]\n");
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace mavr;
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: mavr-randomize <container.hex> <out.hex> "
-                 "[--seed N] [--stats]\n");
-    return 2;
-  }
+  if (argc < 3) return usage();
   std::uint64_t seed = 1;
   bool stats = false;
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 0);
+      const auto parsed = support::parse_u64(argv[++i]);
+      if (!parsed) {
+        std::fprintf(stderr, "invalid value for --seed: '%s'\n", argv[i]);
+        return usage();
+      }
+      seed = *parsed;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       stats = true;
     }
