@@ -70,30 +70,6 @@ CampaignConfig decode_config(support::ByteReader& r) {
   return config;
 }
 
-void encode_trial_result(support::ByteWriter& w, const TrialResult& result) {
-  w.u8(result.success ? 1 : 0);
-  w.u8(result.detected ? 1 : 0);
-  w.u8(result.degraded ? 1 : 0);
-  w.u8(result.detector_fired ? 1 : 0);
-  put_f64(w, result.attempts);
-  put_f64(w, result.startup_ms);
-  put_u64(w, result.cycles);
-  put_u64(w, result.ttd_cycles);
-}
-
-TrialResult decode_trial_result(support::ByteReader& r) {
-  TrialResult result;
-  result.success = r.u8() != 0;
-  result.detected = r.u8() != 0;
-  result.degraded = r.u8() != 0;
-  result.detector_fired = r.u8() != 0;
-  result.attempts = get_f64(r);
-  result.startup_ms = get_f64(r);
-  result.cycles = get_u64(r);
-  result.ttd_cycles = get_u64(r);
-  return result;
-}
-
 void encode_chunk_accum(support::ByteWriter& w, const ChunkAccum& accum) {
   put_f64(w, accum.sum_attempts);
   put_f64(w, accum.max_attempts);

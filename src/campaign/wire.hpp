@@ -39,9 +39,6 @@ double get_f64(support::ByteReader& r);
 void encode_config(support::ByteWriter& w, const CampaignConfig& config);
 CampaignConfig decode_config(support::ByteReader& r);
 
-void encode_trial_result(support::ByteWriter& w, const TrialResult& result);
-TrialResult decode_trial_result(support::ByteReader& r);
-
 void encode_chunk_accum(support::ByteWriter& w, const ChunkAccum& accum);
 ChunkAccum decode_chunk_accum(support::ByteReader& r);
 

@@ -82,33 +82,6 @@ TEST(Wire, ConfigRejectsUnknownTags) {
   EXPECT_THROW(wire::decode_config(r), support::DataError);
 }
 
-TEST(Wire, TrialResultRoundTripExtremeValues) {
-  campaign::TrialResult result;
-  result.success = true;
-  result.detected = true;
-  result.degraded = false;
-  result.detector_fired = true;
-  result.attempts = std::numeric_limits<double>::denorm_min();
-  result.startup_ms = -0.0;
-  result.cycles = std::numeric_limits<std::uint64_t>::max();
-  result.ttd_cycles = std::numeric_limits<std::uint64_t>::max() - 1;
-
-  support::Bytes blob;
-  support::ByteWriter w(blob);
-  wire::encode_trial_result(w, result);
-  support::ByteReader r(blob);
-  const campaign::TrialResult back = wire::decode_trial_result(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(back.success, result.success);
-  EXPECT_EQ(back.detected, result.detected);
-  EXPECT_EQ(back.degraded, result.degraded);
-  EXPECT_EQ(back.detector_fired, result.detector_fired);
-  EXPECT_TRUE(same_bits(back.attempts, result.attempts));
-  EXPECT_TRUE(same_bits(back.startup_ms, result.startup_ms));
-  EXPECT_EQ(back.cycles, result.cycles);
-  EXPECT_EQ(back.ttd_cycles, result.ttd_cycles);
-}
-
 campaign::ChunkResult sample_chunk(std::uint64_t index, std::size_t n) {
   campaign::ChunkResult chunk;
   chunk.index = index;
