@@ -11,6 +11,10 @@ namespace mavr::campaignd {
 
 namespace {
 
+/// Linear backoff step between a request's connect attempts
+/// (ClientOptions::connect_attempts), applied inside the transport.
+constexpr int kConnectBackoffMs = 20;
+
 /// One handshake + request/reply exchange on a fresh connection. Returns
 /// false (with `*error` set) on any failure; `*retryable` distinguishes
 /// transient transport loss (worth backing off and retrying) from a
@@ -25,7 +29,7 @@ bool request(const std::string& endpoint, const ClientOptions& options,
     return false;
   }
   support::Socket sock = support::connect_endpoint(
-      *ep, options.connect_attempts, options.connect_backoff_ms);
+      *ep, options.connect_attempts, kConnectBackoffMs);
   if (!sock.valid()) {
     *error = "cannot connect to coordinator at " + endpoint;
     *retryable = true;

@@ -35,9 +35,9 @@ struct ClientOptions {
   std::string auth_token;
   /// Reply deadline per request (also the handshake budget).
   int reply_timeout_ms = 10'000;
-  /// Connect attempts per request (linear backoff inside the transport).
+  /// Connect attempts per request (linear backoff inside the transport,
+  /// kConnectBackoffMs in client.cpp).
   int connect_attempts = 5;
-  int connect_backoff_ms = 20;
   /// Transient-failure retries per operation (0 = fail on first). For
   /// wait_campaign this budget is *consecutive*: any successful poll
   /// resets it.

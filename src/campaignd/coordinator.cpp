@@ -32,6 +32,17 @@ constexpr std::uint64_t kMaxTrialsPerCampaign = 100'000'000;
 /// slowing down, tolerant of one odd chunk.
 constexpr double kRateAlpha = 0.3;
 
+/// Overdue deadline as a multiple of the campaign's EWMA chunk service
+/// time (assignment → accepted result, transit included).
+constexpr double kSpeculationFactor = 3.0;
+
+/// Ceiling on simultaneous copies of one chunk, the original included.
+/// Speculation is safe at any ceiling: duplicates are byte-identical and
+/// deduplicated at merge.
+constexpr std::uint32_t kSpeculationMaxCopies = 2;
+static_assert(kSpeculationMaxCopies >= 1,
+              "a chunk's original assignment is its first copy");
+
 }  // namespace
 
 std::uint32_t scaled_assign_chunks(std::uint32_t grain, double rate,
@@ -52,8 +63,6 @@ Coordinator::Coordinator(CoordinatorConfig config)
                "coordinator needs a listen endpoint");
   MAVR_REQUIRE(config_.assign_chunks >= 1, "assign_chunks must be >= 1");
   MAVR_REQUIRE(config_.max_queue >= 1, "max_queue must be >= 1");
-  MAVR_REQUIRE(config_.speculation_max_copies >= 1,
-               "speculation_max_copies must be >= 1");
 }
 
 Coordinator::~Coordinator() { stop(); }
@@ -363,7 +372,7 @@ bool Coordinator::handle_work_request(support::Socket& sock,
       c->state = CampaignState::kRunning;
       break;
     }
-    if (assign.chunks.empty() && config_.speculate) {
+    if (assign.chunks.empty()) {
       speculate_overdue(now, grain, held, &assign);
     }
     counters_.chunks_assigned += assign.chunks.size();
@@ -391,10 +400,10 @@ void Coordinator::speculate_overdue(std::chrono::steady_clock::time_point now,
     const double ewma_ms = c->ewma_service_s * 1000.0;
     const double deadline_ms =
         std::max(static_cast<double>(config_.speculation_min_ms),
-                 config_.speculation_factor * ewma_ms);
+                 kSpeculationFactor * ewma_ms);
     std::vector<std::uint64_t> overdue;
     for (const auto& [idx, flight] : c->inflight) {
-      if (flight.copies >= config_.speculation_max_copies) continue;
+      if (flight.copies >= kSpeculationMaxCopies) continue;
       const double age_ms =
           std::chrono::duration<double, std::milli>(now - flight.last_assign)
               .count();

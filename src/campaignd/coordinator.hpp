@@ -82,18 +82,13 @@ struct CoordinatorConfig {
   std::uint32_t wait_hint_ms = 20;
 
   // --- straggler speculation (DESIGN.md §14) ----------------------------
-  /// Hand idle workers duplicate copies of overdue in-flight chunks once
-  /// no pending work remains. Safe at any setting: duplicates are
-  /// byte-identical and deduplicated at merge.
-  bool speculate = true;
+  // Idle workers always get duplicate copies of overdue in-flight chunks
+  // once no pending work remains; the deadline multiple and the copy
+  // ceiling are fixed (kSpeculationFactor, kSpeculationMaxCopies in
+  // coordinator.cpp).
   /// A chunk is never declared overdue before this age — the floor keeps
   /// a cold EWMA (first chunks of a campaign) from triggering copies.
   int speculation_min_ms = 2'000;
-  /// Overdue deadline as a multiple of the campaign's EWMA chunk service
-  /// time (assignment → accepted result, transit included).
-  double speculation_factor = 3.0;
-  /// Ceiling on simultaneous copies of one chunk, the original included.
-  std::uint32_t speculation_max_copies = 2;
 
   // --- chaos plane (support/netfault) -----------------------------------
   /// When any rate is nonzero, every accepted connection is armed with a

@@ -10,6 +10,21 @@
 
 namespace mavr::defense {
 
+namespace {
+
+/// Internal flash page programming time (overlapped with reception).
+constexpr double kPageProgramMs = 4.5;
+
+// Reflash robustness policy (DESIGN.md §9).
+/// Retransmissions allowed per page before the pass is abandoned.
+constexpr std::uint32_t kPageRetries = 3;
+/// Extra whole-image passes (fresh erase + rewrite) per reflash request.
+constexpr std::uint32_t kImageRetries = 2;
+/// Re-reads of the external-flash container after a CRC/parse failure.
+constexpr std::uint32_t kContainerReadRetries = 3;
+
+}  // namespace
+
 MasterProcessor::MasterProcessor(ExternalFlash& flash, sim::Board& board,
                                  const MasterConfig& config)
     : flash_(flash), board_(board), config_(config), rng_(config.seed) {}
@@ -68,8 +83,7 @@ void MasterProcessor::boot() {
 }
 
 std::optional<Container> MasterProcessor::read_container() {
-  for (std::uint32_t attempt = 0; attempt <= config_.container_read_retries;
-       ++attempt) {
+  for (std::uint32_t attempt = 0; attempt <= kContainerReadRetries; ++attempt) {
     try {
       return parse_container(flash_.read_all());
     } catch (const support::DataError& e) {
@@ -105,8 +119,7 @@ void MasterProcessor::randomize_and_program() {
   }
 
   StartupReport report;
-  for (std::uint32_t attempt = 0; attempt <= config_.image_retries;
-       ++attempt) {
+  for (std::uint32_t attempt = 0; attempt <= kImageRetries; ++attempt) {
     if (attempt > 0) {
       ++health_.image_retries;
       report.retry_ms += config_.retry_backoff_ms * attempt;
@@ -152,8 +165,7 @@ bool MasterProcessor::program_verified(std::span<const std::uint8_t> image,
         page, static_cast<std::uint32_t>(image.size()) - off);
     const std::uint32_t want = support::crc32_ieee(image.subspan(off, len));
     bool placed = false;
-    for (std::uint32_t attempt = 0; attempt <= config_.page_retries;
-         ++attempt) {
+    for (std::uint32_t attempt = 0; attempt <= kPageRetries; ++attempt) {
       if (attempt > 0) {
         ++health_.page_retries;
         ++report.page_retries;
@@ -181,7 +193,7 @@ bool MasterProcessor::program_verified(std::span<const std::uint8_t> image,
     if (!placed) {
       MAVR_LOG(Debug, "master")
           << "page at 0x" << std::hex << off << std::dec << " not placed in "
-          << config_.page_retries + 1 << " attempts; abandoning pass";
+          << kPageRetries + 1 << " attempts; abandoning pass";
       return false;  // board remains parked in the bootloader
     }
   }
@@ -206,7 +218,7 @@ void MasterProcessor::degrade_to_last_good() {
   if (!last_good_image_.empty()) {
     StartupReport report;
     for (std::uint32_t attempt = 0;
-         attempt <= config_.image_retries && endurance_remaining() > 0;
+         attempt <= kImageRetries && endurance_remaining() > 0;
          ++attempt) {
       report.image_attempts = attempt + 1;
       if (attempt > 0) report.retry_ms += config_.retry_backoff_ms * attempt;
@@ -244,7 +256,7 @@ void MasterProcessor::finish_report(std::size_t image_bytes,
   report.image_bytes = static_cast<std::uint32_t>(image_bytes);
   report.transfer_ms = page_transfer_ms(image_bytes);
   report.flash_ms = static_cast<double>((image_bytes + page - 1) / page) *
-                    config_.page_program_ms;
+                    kPageProgramMs;
   report.total_ms =
       std::max(report.transfer_ms, report.flash_ms) + report.retry_ms;
   last_startup_ = report;
