@@ -59,7 +59,7 @@ TEST(FaultSweep, ZeroRateAlwaysRecoversFresh) {
 TEST(FaultSweep, SaturatedRateAlwaysDegradesNeverTears) {
   // Every page transfer fails at rate 1, so no trial can place a fresh
   // image — but every trial must still end in a verified state (degraded),
-  // which run_fault_trial enforces by running the released image.
+  // which the fault sweep's trial enforces by running the released image.
   const CampaignStats stats =
       campaign::run_campaign(base_config(1.0, 4, 16), fixture());
   EXPECT_EQ(stats.degradations, stats.trials);
