@@ -46,7 +46,6 @@ class BenchWorker : public campaignd::WorkerHandle {
                            crash_after_chunks, seq] {
       campaignd::WorkerOptions options;
       options.connect_attempts = 100;
-      options.backoff_ms = 5;
       options.reconnect_backoff_ms = 5;
       options.reconnect_backoff_max_ms = 100;
       options.reply_timeout_ms = 400;

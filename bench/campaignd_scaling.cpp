@@ -56,7 +56,6 @@ bool sweep(const char* label, const std::string& listen_endpoint,
       pool.emplace_back([&endpoint, &stop] {
         campaignd::WorkerOptions options;
         options.connect_attempts = 20;
-        options.backoff_ms = 5;
         options.stop = &stop;
         campaignd::run_worker(endpoint, options);
       });
@@ -70,7 +69,7 @@ bool sweep(const char* label, const std::string& listen_endpoint,
       return false;
     }
     const campaignd::PollOutcome done = campaignd::wait_campaign(
-        endpoint, submit.campaign_id, /*interval_ms=*/5);
+        endpoint, submit.campaign_id, {}, /*interval_ms=*/5);
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

@@ -11,10 +11,6 @@ namespace mavr::campaignd {
 
 namespace {
 
-/// Linear backoff step between a request's connect attempts
-/// (ClientOptions::connect_attempts), applied inside the transport.
-constexpr int kConnectBackoffMs = 20;
-
 /// One handshake + request/reply exchange on a fresh connection. Returns
 /// false (with `*error` set) on any failure; `*retryable` distinguishes
 /// transient transport loss (worth backing off and retrying) from a
@@ -28,8 +24,7 @@ bool request(const std::string& endpoint, const ClientOptions& options,
     *error = "malformed endpoint: " + endpoint;
     return false;
   }
-  support::Socket sock = support::connect_endpoint(
-      *ep, options.connect_attempts, kConnectBackoffMs);
+  support::Socket sock = support::connect_endpoint(*ep);
   if (!sock.valid()) {
     *error = "cannot connect to coordinator at " + endpoint;
     *retryable = true;
@@ -64,7 +59,8 @@ bool request(const std::string& endpoint, const ClientOptions& options,
 }
 
 /// request() wrapped in the retry ladder: up to max_retries extra
-/// attempts across *transport* failures, full-jitter backoff between.
+/// attempts across *transport* failures (a refused connect included),
+/// full-jitter backoff between.
 bool request_with_retries(const std::string& endpoint,
                           const ClientOptions& options, MsgType type,
                           const support::Bytes& body, Message* reply,
@@ -80,12 +76,6 @@ bool request_with_retries(const std::string& endpoint,
     std::this_thread::sleep_for(
         std::chrono::milliseconds(backoff.next_delay_ms()));
   }
-}
-
-ClientOptions token_options(const std::string& auth_token) {
-  ClientOptions options;
-  options.auth_token = auth_token;
-  return options;
 }
 
 }  // namespace
@@ -172,25 +162,6 @@ PollOutcome wait_campaign(const std::string& endpoint,
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
     waited_ms += interval_ms;
   }
-}
-
-SubmitOutcome submit_campaign(const std::string& endpoint,
-                              const campaign::CampaignConfig& config,
-                              const std::string& auth_token) {
-  return submit_campaign(endpoint, config, token_options(auth_token));
-}
-
-PollOutcome poll_campaign(const std::string& endpoint,
-                          std::uint64_t campaign_id,
-                          const std::string& auth_token) {
-  return poll_campaign(endpoint, campaign_id, token_options(auth_token));
-}
-
-PollOutcome wait_campaign(const std::string& endpoint,
-                          std::uint64_t campaign_id, int interval_ms,
-                          int timeout_ms, const std::string& auth_token) {
-  return wait_campaign(endpoint, campaign_id, token_options(auth_token),
-                       interval_ms, timeout_ms);
 }
 
 }  // namespace mavr::campaignd

@@ -35,12 +35,9 @@ struct ClientOptions {
   std::string auth_token;
   /// Reply deadline per request (also the handshake budget).
   int reply_timeout_ms = 10'000;
-  /// Connect attempts per request (linear backoff inside the transport,
-  /// kConnectBackoffMs in client.cpp).
-  int connect_attempts = 5;
-  /// Transient-failure retries per operation (0 = fail on first). For
-  /// wait_campaign this budget is *consecutive*: any successful poll
-  /// resets it.
+  /// Transient-failure retries per operation (0 = fail on first); a
+  /// refused connect is one such failure. For wait_campaign this budget
+  /// is *consecutive*: any successful poll resets it.
   int max_retries = 0;
   /// Full-jitter exponential backoff between retries (support::Backoff).
   int retry_backoff_ms = 50;
@@ -70,12 +67,12 @@ struct PollOutcome {
 /// transport failures per `options` (safe: submit is idempotent).
 SubmitOutcome submit_campaign(const std::string& endpoint,
                               const campaign::CampaignConfig& config,
-                              const ClientOptions& options);
+                              const ClientOptions& options = {});
 
 /// One status snapshot for `campaign_id` (retrying per `options`).
 PollOutcome poll_campaign(const std::string& endpoint,
                           std::uint64_t campaign_id,
-                          const ClientOptions& options);
+                          const ClientOptions& options = {});
 
 /// Polls every `interval_ms` until the campaign reports kDone, the
 /// consecutive-failure budget is exhausted, a permanent rejection occurs,
@@ -84,20 +81,7 @@ PollOutcome poll_campaign(const std::string& endpoint,
 /// to what run_trials would produce in-process.
 PollOutcome wait_campaign(const std::string& endpoint,
                           std::uint64_t campaign_id,
-                          const ClientOptions& options, int interval_ms = 50,
-                          int timeout_ms = -1);
-
-// Token-only conveniences (the pre-resilience signatures): single
-// attempt, no retries — what the existing tests and simple callers use.
-SubmitOutcome submit_campaign(const std::string& endpoint,
-                              const campaign::CampaignConfig& config,
-                              const std::string& auth_token = "");
-PollOutcome poll_campaign(const std::string& endpoint,
-                          std::uint64_t campaign_id,
-                          const std::string& auth_token = "");
-PollOutcome wait_campaign(const std::string& endpoint,
-                          std::uint64_t campaign_id, int interval_ms = 50,
-                          int timeout_ms = -1,
-                          const std::string& auth_token = "");
+                          const ClientOptions& options = {},
+                          int interval_ms = 50, int timeout_ms = -1);
 
 }  // namespace mavr::campaignd

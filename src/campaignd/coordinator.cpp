@@ -75,14 +75,7 @@ void Coordinator::start() {
     throw support::Error("malformed listen endpoint: " +
                          config_.listen_endpoint);
   }
-  listener_ = support::make_listener(*ep);
-  if (net_plane_.armed()) {
-    // Chaos plane: every accepted connection's sends/recvs on *this* side
-    // go through a per-connection fault stream. The listener decorator is
-    // the single interposition point — handlers stay fault-oblivious.
-    listener_ = std::make_unique<support::FaultyListener>(std::move(listener_),
-                                                          &net_plane_);
-  }
+  listener_ = std::make_unique<support::Listener>(*ep);
   bound_endpoint_ = support::endpoint_name(listener_->endpoint());
   accept_thread_ = std::thread(&Coordinator::accept_loop, this);
 }
@@ -158,6 +151,10 @@ void Coordinator::accept_loop() {
     support::Socket sock = listener_->accept(200);
     reap_finished();
     if (!sock.valid()) continue;
+    // Chaos plane: when armed, this side's sends/recvs on the connection go
+    // through its own fault stream, forked in accept order. Arming here is
+    // the single interposition point — handlers stay fault-oblivious.
+    net_plane_.arm(sock);
     const std::lock_guard<std::mutex> lock(conns_mu_);
     if (stopping_.load()) break;  // stop() is about to sweep live fds
     const std::uint64_t id = next_handler_id_++;

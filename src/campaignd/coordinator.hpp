@@ -14,7 +14,7 @@
 // untouched. Backpressure is a bound on admitted-but-incomplete
 // campaigns — a submit beyond it is rejected, not queued unboundedly.
 //
-// Transport is any `support::Listener` (AF_UNIX or TCP). Every connection
+// Transport is a `support::Listener` on AF_UNIX or TCP. Every connection
 // starts with the protocol handshake: version check, then HMAC
 // challenge-response over `auth_token` — a TCP listener has no filesystem
 // permissions, so unauthenticated peers are dropped before any campaign

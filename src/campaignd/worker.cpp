@@ -65,18 +65,25 @@ std::uint64_t run_worker(const std::string& endpoint,
   // One firmware generate+link, shared across campaigns: every board
   // scenario attacks the same stock testapp build.
   std::optional<campaign::SimFixture> fixture;
-  // Paces reconnects after a connection breaks: full-jitter exponential
-  // ladder, climbed on every broken connection, reset by a completed
-  // handshake. The connect call's own linear retry only covers racing
-  // the coordinator's initial bind.
+  // Paces every reconnect: full-jitter exponential ladder, climbed on each
+  // refused connect and each broken connection, reset by a completed
+  // handshake.
   support::Backoff reconnect(options.reconnect_backoff_ms,
                              options.reconnect_backoff_max_ms,
                              options.backoff_seed);
+  int refused = 0;  // consecutive refused connects
 
   while (!stop.load()) {
-    support::Socket sock = support::connect_endpoint(
-        *ep, options.connect_attempts, options.backoff_ms);
-    if (!sock.valid()) return completed;  // coordinator is gone for good
+    support::Socket sock = support::connect_endpoint(*ep);
+    if (!sock.valid()) {
+      if (++refused >= options.connect_attempts) {
+        return completed;  // coordinator is gone for good
+      }
+      interruptible_sleep(
+          static_cast<std::uint32_t>(reconnect.next_delay_ms()), stop);
+      continue;
+    }
+    refused = 0;
     if (options.fault_plane != nullptr) options.fault_plane->arm(sock);
 
     switch (client_handshake(sock, options.auth_token,

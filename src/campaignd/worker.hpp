@@ -19,13 +19,11 @@
 namespace mavr::campaignd {
 
 struct WorkerOptions {
-  /// Connection attempts before giving up (covers both the initial
-  /// connect racing the coordinator's bind, and reconnects after the
-  /// coordinator restarts).
-  int connect_attempts = 40;
-  /// Linear backoff step between attempts (capped at 500ms inside the
-  /// transport's retrying connect).
-  int backoff_ms = 25;
+  /// Consecutive refused connects before giving up (covers both the
+  /// initial connect racing the coordinator's bind, and reconnects after
+  /// the coordinator restarts). The reconnect ladder below paces them: at
+  /// its defaults, 21 attempts wait about 15 s in all.
+  int connect_attempts = 21;
   /// Exit after completing this many chunks; 0 = unlimited. Lets tests
   /// model a worker that dies partway through a campaign.
   std::uint64_t max_chunks = 0;
@@ -45,9 +43,10 @@ struct WorkerOptions {
   /// and re-established. Chaos tests shrink this so a dropped frame
   /// costs milliseconds, not the production-sized timeout.
   int reply_timeout_ms = 10'000;
-  /// Full-jitter exponential backoff between reconnects after a live
-  /// connection breaks (support::Backoff) — distinct seeds keep a fleet
-  /// that lost one coordinator from reconnecting in lockstep.
+  /// Full-jitter exponential backoff before each reconnect, after a
+  /// refused connect or a broken connection (support::Backoff) — distinct
+  /// seeds keep a fleet that lost one coordinator from reconnecting in
+  /// lockstep.
   int reconnect_backoff_ms = 25;
   int reconnect_backoff_max_ms = 2'000;
   std::uint64_t backoff_seed = 1;

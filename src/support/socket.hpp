@@ -1,26 +1,26 @@
 // Stream-socket transport for the campaignd coordinator/worker split
 // (DESIGN.md §12–§13).
 //
-// Two interchangeable transports behind one `Listener` interface:
+// Two interchangeable transports behind one `Listener` and one
+// `connect_endpoint`:
 //
-//  * AF_UNIX (`UnixListener`/`unix_connect`) — the single-machine default.
-//    A filesystem socket gives process isolation, a namable rendezvous
-//    point, kill-driven connection teardown, and filesystem-permission
-//    access control for free.
-//  * TCP (`TcpListener`/`tcp_connect`) — the multi-machine transport.
-//    Same byte-stream semantics, so the framed protocol above is
-//    unchanged; what TCP does *not* give is filesystem access control,
-//    which is why the campaignd protocol layers a challenge-response
-//    handshake on top (protocol.hpp).
+//  * AF_UNIX — the single-machine default. A filesystem socket gives
+//    process isolation, a namable rendezvous point, kill-driven connection
+//    teardown, and filesystem-permission access control for free.
+//  * TCP — the multi-machine transport. Same byte-stream semantics, so the
+//    framed protocol above is unchanged; what TCP does *not* give is
+//    filesystem access control, which is why the campaignd protocol layers
+//    a challenge-response handshake on top (protocol.hpp).
 //
 // Endpoints are named by a spec string — `unix:/path`, `tcp:host:port`
 // (IPv6 hosts in brackets: `tcp:[::1]:9000`), or a bare filesystem path
 // which reads as AF_UNIX for backward compatibility — parsed once by
-// `parse_endpoint` and dispatched by `make_listener`/`connect_endpoint`.
+// `parse_endpoint`.
 //
 // The API is otherwise three pieces: an RAII fd (`Socket`) with
-// exact-length timed I/O, a bound listener, and a retrying connect with
-// linear backoff.
+// exact-length timed I/O, a bound listener, and a one-shot connect.
+// Retrying is the caller's: a refused connect is one more transient
+// failure on its support::Backoff ladder.
 #pragma once
 
 #include <cstddef>
@@ -89,8 +89,8 @@ class Socket {
   void close();
 
   /// Arms fault injection on this socket. The hook rides along on move
-  /// (a FaultyListener attaches it before handing the accepted socket
-  /// out by value). Null disarms.
+  /// (the coordinator arms an accepted socket, then moves it into its
+  /// connection handler). Null disarms.
   void set_fault_hook(std::shared_ptr<SocketFaultHook> hook) {
     fault_ = std::move(hook);
   }
@@ -129,85 +129,39 @@ std::optional<Endpoint> parse_endpoint(const std::string& spec);
 /// Canonical spec string for `ep` — parseable back by parse_endpoint.
 std::string endpoint_name(const Endpoint& ep);
 
-/// Bound + listening stream socket, transport-agnostic.
+/// Bound + listening stream socket on either transport. An AF_UNIX
+/// listener replaces a stale socket file at its path and unlinks the path
+/// on destruction; a TCP listener sets SO_REUSEADDR, and the connections
+/// it accepts get TCP_NODELAY (frames are small and latency-sensitive).
 class Listener {
  public:
-  virtual ~Listener() = default;
+  /// Binds and listens on `ep`. TCP port 0 asks the kernel for an
+  /// ephemeral port. Throws support::Error on resolution or bind failure.
+  explicit Listener(Endpoint ep);
+  ~Listener();
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
 
   /// Accepts one connection; invalid Socket on timeout or after close().
-  virtual Socket accept(int timeout_ms) = 0;
+  Socket accept(int timeout_ms);
 
   /// Stops accepting and releases the fd. Call after the accepting thread
   /// has stopped (accept() takes a timeout precisely so its loop can poll
   /// a stop flag instead of blocking forever).
-  virtual void close() = 0;
+  void close();
 
   /// The endpoint actually bound — for TCP with port 0 this carries the
   /// kernel-assigned ephemeral port, so peers can be pointed at it.
-  virtual const Endpoint& endpoint() const = 0;
-};
-
-/// Bound + listening AF_UNIX socket; unlinks the path on destruction.
-class UnixListener : public Listener {
- public:
-  /// Binds and listens on `path` (an existing stale socket file is
-  /// replaced). Throws support::Error on failure.
-  explicit UnixListener(std::string path);
-  ~UnixListener() override;
-  UnixListener(const UnixListener&) = delete;
-  UnixListener& operator=(const UnixListener&) = delete;
-
-  Socket accept(int timeout_ms) override;
-  void close() override;
-  const Endpoint& endpoint() const override { return endpoint_; }
-
-  const std::string& path() const { return endpoint_.path; }
+  const Endpoint& endpoint() const { return endpoint_; }
 
  private:
   Endpoint endpoint_;
   int fd_ = -1;
 };
 
-/// Bound + listening TCP socket (SO_REUSEADDR; accepted connections get
-/// TCP_NODELAY — frames are small and latency-sensitive).
-class TcpListener : public Listener {
- public:
-  /// Binds and listens on host:port. `port == 0` asks the kernel for an
-  /// ephemeral port; endpoint().port reports the one actually bound.
-  /// Throws support::Error on resolution or bind failure.
-  TcpListener(const std::string& host, std::uint16_t port);
-  ~TcpListener() override;
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
-
-  Socket accept(int timeout_ms) override;
-  void close() override;
-  const Endpoint& endpoint() const override { return endpoint_; }
-
-  std::uint16_t port() const { return endpoint_.port; }
-
- private:
-  Endpoint endpoint_;
-  int fd_ = -1;
-};
-
-/// Binds a listener for `ep`, whatever its transport.
-std::unique_ptr<Listener> make_listener(const Endpoint& ep);
-
-/// Connects to the listener at `path`, retrying up to `attempts` times
-/// with linear backoff (`backoff_ms`, 2*backoff_ms, ... capped at 500ms)
-/// — the wire-level retry story for workers racing coordinator startup.
-/// Invalid Socket when every attempt fails.
-Socket unix_connect(const std::string& path, int attempts = 1,
-                    int backoff_ms = 0);
-
-/// TCP sibling of unix_connect: resolves host:port and retries with the
-/// same linear backoff. TCP_NODELAY is set on the connected socket.
-Socket tcp_connect(const std::string& host, std::uint16_t port,
-                   int attempts = 1, int backoff_ms = 0);
-
-/// Connects to `ep`, whatever its transport.
-Socket connect_endpoint(const Endpoint& ep, int attempts = 1,
-                        int backoff_ms = 0);
+/// One connection attempt to `ep`, whatever its transport. Invalid Socket
+/// when it is refused or the host does not resolve. TCP_NODELAY is set on
+/// a TCP connection.
+Socket connect_endpoint(const Endpoint& ep);
 
 }  // namespace mavr::support

@@ -121,7 +121,7 @@ TEST(SpeculationTest, RecoversChunksHeldByAStalledWorker) {
   }
   Worker healthy(endpoint, campaignd::WorkerOptions{});
   const campaignd::PollOutcome done = campaignd::wait_campaign(
-      endpoint, submit.campaign_id, /*interval_ms=*/10,
+      endpoint, submit.campaign_id, {}, /*interval_ms=*/10,
       /*timeout_ms=*/60'000);
   ASSERT_TRUE(done.ok) << done.error;
   EXPECT_EQ(done.status.state, campaignd::CampaignState::kDone);
@@ -280,7 +280,7 @@ TEST(DrainTest, FinishesInflightRejectsNewWorkAndResumes) {
 
     Worker worker(endpoint, campaignd::WorkerOptions{});
     const auto done = campaignd::wait_campaign(
-        endpoint, submit.campaign_id, /*interval_ms=*/10,
+        endpoint, submit.campaign_id, {}, /*interval_ms=*/10,
         /*timeout_ms=*/60'000);
     ASSERT_TRUE(done.ok) << done.error;
     EXPECT_TRUE(bitwise_equal(done.status.stats, in_process));

@@ -57,7 +57,6 @@ class WorkerPool {
       threads_.emplace_back([this, max_chunks] {
         campaignd::WorkerOptions options;
         options.connect_attempts = 20;
-        options.backoff_ms = 5;
         options.max_chunks = max_chunks;
         options.stop = &stop_;
         campaignd::run_worker(endpoint_, options);
@@ -135,7 +134,7 @@ class ServiceTest : public ::testing::TestWithParam<Transport> {
         campaignd::submit_campaign(endpoint, config);
     EXPECT_TRUE(submit.ok) << submit.error;
     const campaignd::PollOutcome done = campaignd::wait_campaign(
-        endpoint, submit.campaign_id, /*interval_ms=*/10,
+        endpoint, submit.campaign_id, {}, /*interval_ms=*/10,
         /*timeout_ms=*/60'000);
     EXPECT_TRUE(done.ok) << done.error;
     EXPECT_EQ(done.status.state, campaignd::CampaignState::kDone);
@@ -253,7 +252,7 @@ TEST_P(ServiceTest, KillAndResumeProducesIdenticalResults) {
     WorkerPool pool(endpoint);
     pool.start(1);
     const campaignd::PollOutcome done = campaignd::wait_campaign(
-        endpoint, submit.campaign_id, 10, 60'000);
+        endpoint, submit.campaign_id, {}, 10, 60'000);
     pool.join();
     coordinator.stop();
 
@@ -300,7 +299,7 @@ TEST_P(ServiceTest, FifoSchedulingAndBackpressure) {
   WorkerPool pool(endpoint);
   pool.start(1);
   const campaignd::PollOutcome done2 =
-      campaignd::wait_campaign(endpoint, s2.campaign_id, 10, 60'000);
+      campaignd::wait_campaign(endpoint, s2.campaign_id, {}, 10, 60'000);
   ASSERT_TRUE(done2.ok) << done2.error;
   const campaignd::PollOutcome done1 =
       campaignd::poll_campaign(endpoint, s1.campaign_id);

@@ -276,18 +276,11 @@ int main(int argc, char** argv) {
   if (!have_scenario) return usage();
 
   std::string auth_token;
-  if (!token_file.empty()) {
-    std::ifstream token_in(token_file, std::ios::binary);
-    if (!token_in) {
-      std::fprintf(stderr, "cannot read --auth-token-file %s\n",
-                   token_file.c_str());
-      return 1;
-    }
-    std::getline(token_in, auth_token);
-    while (!auth_token.empty() && (auth_token.back() == '\r' ||
-                                   auth_token.back() == '\n')) {
-      auth_token.pop_back();
-    }
+  if (!token_file.empty() &&
+      !campaignd::read_token_file(token_file, &auth_token)) {
+    std::fprintf(stderr, "cannot read --auth-token-file %s\n",
+                 token_file.c_str());
+    return 1;
   }
 
   try {
