@@ -19,16 +19,28 @@ bool rejected_prefix(std::string_view text) {
          text.front() == '+' || text.front() == '-';
 }
 
-}  // namespace
-
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
+/// strtoull in `base` over the whole token; nullopt on anything else.
+std::optional<std::uint64_t> parse_whole(std::string_view text, int base) {
   if (rejected_prefix(text)) return std::nullopt;
   const std::string buf(text);  // strtoull needs a NUL terminator
   char* end = nullptr;
   errno = 0;
-  const unsigned long long value = std::strtoull(buf.c_str(), &end, 0);
+  const unsigned long long value = std::strtoull(buf.c_str(), &end, base);
   if (errno == ERANGE || end != buf.c_str() + buf.size()) return std::nullopt;
   return static_cast<std::uint64_t>(value);
+}
+
+}  // namespace
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+  return parse_whole(text, 0);
+}
+
+std::optional<std::uint64_t> parse_hex_in(std::string_view text,
+                                          std::uint64_t lo, std::uint64_t hi) {
+  const auto value = parse_whole(text, 16);
+  if (!value || *value < lo || *value > hi) return std::nullopt;
+  return value;
 }
 
 std::optional<std::uint64_t> parse_u64_in(std::string_view text,

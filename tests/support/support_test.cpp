@@ -245,6 +245,19 @@ TEST(Parse, U64InEnforcesInclusiveRange) {
   EXPECT_FALSE(parse_u64_in("1000", 1, 256).has_value());
 }
 
+TEST(Parse, HexInReadsBareOrPrefixedHexInRange) {
+  EXPECT_EQ(parse_hex_in("10046", 0, 0xFFFFF), 0x10046u);
+  EXPECT_EQ(parse_hex_in("0x1a", 0, 0xFFFF), 0x1Au);
+  EXPECT_EQ(parse_hex_in("FFFF", 0, 0xFFFF), 0xFFFFu);
+  // Out of range instead of truncated to the low 16 bits.
+  EXPECT_FALSE(parse_hex_in("10046", 0, 0xFFFF).has_value());
+  EXPECT_FALSE(parse_hex_in("xyz", 0, 0xFFFF).has_value());
+  EXPECT_FALSE(parse_hex_in("zz", 0, 0xFFFF).has_value());
+  EXPECT_FALSE(parse_hex_in("0x", 0, 0xFFFF).has_value());
+  EXPECT_FALSE(parse_hex_in("", 0, 0xFFFF).has_value());
+  EXPECT_FALSE(parse_hex_in("-1", 0, 0xFFFF).has_value());
+}
+
 TEST(Parse, U32RejectsValuesPastTheType) {
   EXPECT_EQ(parse_u32("4294967295"), 4294967295u);
   EXPECT_FALSE(parse_u32("4294967296").has_value());

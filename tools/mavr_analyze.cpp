@@ -17,11 +17,12 @@
 #include "analysis/analyze.hpp"
 #include "defense/preprocess.hpp"
 #include "support/error.hpp"
+#include "support/parse.hpp"
 #include "toolchain/intelhex.hpp"
 
 namespace {
 
-void usage() {
+[[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: mavr-analyze [--cache <file>] [--json] "
                "[--taint-source <hex>]... <container.hex>...\n");
@@ -59,8 +60,13 @@ int main(int argc, char** argv) {
         options.taint_sources.clear();
         custom_sources = true;
       }
-      options.taint_sources.push_back(static_cast<std::uint16_t>(
-          std::strtoul(argv[++i], nullptr, 16)));
+      const char* v = argv[++i];
+      const auto source = support::parse_hex_in(v, 0, 0xFFFF);
+      if (!source) {
+        std::fprintf(stderr, "invalid value for --taint-source: '%s'\n", v);
+        usage();
+      }
+      options.taint_sources.push_back(static_cast<std::uint16_t>(*source));
     } else if (argv[i][0] == '-') {
       usage();
     } else {

@@ -4,15 +4,19 @@
 //   mavr-objdump <container.hex> [--symbols] [--gadgets]
 //                [--disasm <byte-addr-hex>] [--cfg [byte-addr-hex]]
 //                [--headers]
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "analysis/cfg.hpp"
 #include "attack/gadgets.hpp"
 #include "defense/preprocess.hpp"
+#include "support/parse.hpp"
 #include "toolchain/disasm.hpp"
 #include "toolchain/intelhex.hpp"
 
@@ -29,26 +33,54 @@ std::string read_file(const char* path) {
   return ss.str();
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: mavr-objdump <container.hex> [--symbols] "
+               "[--gadgets] [--disasm <byte-addr-hex>] "
+               "[--cfg [byte-addr-hex]] [--headers]\n");
+  return 2;
+}
+
+/// One requested dump, in command-line order. `addr` is the byte address
+/// --disasm needs and --cfg may narrow to.
+struct Dump {
+  std::string_view flag;
+  std::optional<std::uint32_t> addr;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace mavr;
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: mavr-objdump <container.hex> [--symbols] "
-                 "[--gadgets] [--disasm <byte-addr-hex>] "
-                 "[--cfg [byte-addr-hex]] [--headers]\n");
-    return 2;
+  if (argc < 2) return usage();
+
+  // Every flag value is checked before the container is read.
+  std::vector<Dump> dumps;
+  for (int i = 2; i < argc; ++i) {
+    const std::string_view flag = argv[i];
+    const bool disasm = flag == "--disasm" && i + 1 < argc;
+    const bool cfg_addr =
+        flag == "--cfg" && i + 1 < argc && argv[i + 1][0] != '-';
+    if (disasm || cfg_addr) {
+      const char* v = argv[++i];
+      const auto addr = support::parse_hex_in(v, 0, UINT32_MAX);
+      if (!addr) {
+        std::fprintf(stderr, "invalid value for %s: '%s'\n", argv[i - 1], v);
+        return usage();
+      }
+      dumps.push_back({flag, static_cast<std::uint32_t>(*addr)});
+    } else if (flag == "--headers" || flag == "--symbols" ||
+               flag == "--gadgets" || flag == "--cfg") {
+      dumps.push_back({flag, std::nullopt});
+    }
   }
 
   const toolchain::HexImage hex = toolchain::intel_hex_decode(read_file(argv[1]));
   const defense::Container container = defense::parse_container(hex.data);
   const toolchain::SymbolBlob& blob = container.blob;
 
-  bool any = false;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--headers") == 0) {
-      any = true;
+  for (const Dump& dump : dumps) {
+    if (dump.flag == "--headers") {
       std::printf("image: %zu bytes, text_end 0x%X, first movable 0x%X, "
                   "%zu functions, %zu pointer slots, LDI code pointers: "
                   "%s\n",
@@ -56,15 +88,13 @@ int main(int argc, char** argv) {
                   blob.function_addrs.size(), blob.pointer_slots.size(),
                   blob.has_ldi_code_pointers ? "yes (UNRANDOMIZABLE)"
                                              : "no");
-    } else if (std::strcmp(argv[i], "--symbols") == 0) {
-      any = true;
+    } else if (dump.flag == "--symbols") {
       std::printf("%-10s %-10s\n", "address", "size");
       for (std::size_t k = 0; k < blob.function_addrs.size(); ++k) {
         std::printf("0x%-8X %u\n", blob.function_addrs[k],
                     blob.function_sizes[k]);
       }
-    } else if (std::strcmp(argv[i], "--gadgets") == 0) {
-      any = true;
+    } else if (dump.flag == "--gadgets") {
       attack::GadgetFinder finder(container.image, blob.text_end);
       const attack::GadgetCensus& c = finder.census();
       std::printf("gadgets: %u total (%u ret-sequences, %u stk_move, "
@@ -80,36 +110,29 @@ int main(int argc, char** argv) {
                     finder.write_mems()[0].store_entry_byte_addr,
                     finder.write_mems()[0].pop_entry_byte_addr);
       }
-    } else if (std::strcmp(argv[i], "--cfg") == 0) {
-      any = true;
-      // Optional hex byte address narrows the dump to one function; the
+    } else if (dump.flag == "--cfg") {
+      // An optional hex byte address narrows the dump to one function; the
       // text is stable (offsets only change when the code does), so the
       // golden-file tests diff it directly.
-      std::uint32_t want = 0;
-      bool have_want = false;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        want = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 16));
-        have_want = true;
-      }
       bool found = false;
       for (std::size_t k = 0; k < blob.function_addrs.size(); ++k) {
         const std::uint32_t start = blob.function_addrs[k];
         const std::uint32_t size = blob.function_sizes[k];
-        if (have_want && (want < start || want >= start + size)) continue;
+        if (dump.addr && (*dump.addr < start || *dump.addr >= start + size)) {
+          continue;
+        }
         found = true;
         const analysis::RegionCfg cfg = analysis::build_region_cfg(
             std::span(container.image).subspan(start, size), start);
         std::printf("func %zu @0x%X size=%u\n%s", k, start, size,
                     analysis::format_cfg(cfg).c_str());
       }
-      if (have_want && !found) {
-        std::fprintf(stderr, "0x%X is not inside a function\n", want);
+      if (dump.addr && !found) {
+        std::fprintf(stderr, "0x%X is not inside a function\n", *dump.addr);
         return 1;
       }
-    } else if (std::strcmp(argv[i], "--disasm") == 0 && i + 1 < argc) {
-      any = true;
-      const std::uint32_t addr =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 16));
+    } else {  // --disasm
+      const std::uint32_t addr = *dump.addr;
       // Find the containing function via the blob.
       std::size_t idx = blob.function_addrs.size();
       for (std::size_t k = 0; k < blob.function_addrs.size(); ++k) {
@@ -130,7 +153,7 @@ int main(int argc, char** argv) {
       std::printf("%s", toolchain::format_listing(lines).c_str());
     }
   }
-  if (!any) {
+  if (dumps.empty()) {
     std::printf("container ok: %zu-byte image, %zu functions "
                 "(use --headers/--symbols/--gadgets/--disasm)\n",
                 container.image.size(), blob.function_addrs.size());

@@ -6,9 +6,9 @@
 //
 //   mavr-sitl <container.hex> [--seconds N] [--mavr]
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -19,22 +19,39 @@
 #include "sim/board.hpp"
 #include "sim/flight.hpp"
 #include "sim/ground.hpp"
+#include "support/parse.hpp"
 #include "toolchain/intelhex.hpp"
+
+namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: mavr-sitl <container.hex> [--seconds N] [--mavr]\n");
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace mavr;
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: mavr-sitl <container.hex> [--seconds N] [--mavr]\n");
-    return 2;
-  }
+  if (argc < 2) return usage();
   int seconds = 6;
   bool use_mavr = false;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
-      seconds = std::atoi(argv[++i]);
+      const char* v = argv[++i];
+      const auto n =
+          support::parse_u64_in(v, 1, std::numeric_limits<int>::max());
+      if (!n) {
+        std::fprintf(stderr, "invalid value for --seconds: '%s'\n", v);
+        return usage();
+      }
+      seconds = static_cast<int>(*n);
     } else if (std::strcmp(argv[i], "--mavr") == 0) {
       use_mavr = true;
+    } else {
+      std::fprintf(stderr, "bad argument: %s\n", argv[i]);
+      return usage();
     }
   }
 
