@@ -22,6 +22,8 @@ constexpr std::uint32_t kPageRetries = 3;
 constexpr std::uint32_t kImageRetries = 2;
 /// Re-reads of the external-flash container after a CRC/parse failure.
 constexpr std::uint32_t kContainerReadRetries = 3;
+/// Linear backoff added per retry (attempt k waits k * backoff).
+constexpr double kRetryBackoffMs = 2.0;
 
 }  // namespace
 
@@ -122,7 +124,7 @@ void MasterProcessor::randomize_and_program() {
   for (std::uint32_t attempt = 0; attempt <= kImageRetries; ++attempt) {
     if (attempt > 0) {
       ++health_.image_retries;
-      report.retry_ms += config_.retry_backoff_ms * attempt;
+      report.retry_ms += kRetryBackoffMs * attempt;
     }
     if (endurance_remaining() <= 0) {
       ++health_.endurance_exhausted_events;
@@ -170,8 +172,7 @@ bool MasterProcessor::program_verified(std::span<const std::uint8_t> image,
         ++health_.page_retries;
         ++report.page_retries;
         // Retransmission plus linear backoff before the retry.
-        report.retry_ms += page_transfer_ms(len) +
-                           config_.retry_backoff_ms * attempt;
+        report.retry_ms += page_transfer_ms(len) + kRetryBackoffMs * attempt;
       }
       wire.assign(image.begin() + off, image.begin() + off + len);
       const support::PageTransfer fate =
@@ -221,7 +222,7 @@ void MasterProcessor::degrade_to_last_good() {
          attempt <= kImageRetries && endurance_remaining() > 0;
          ++attempt) {
       report.image_attempts = attempt + 1;
-      if (attempt > 0) report.retry_ms += config_.retry_backoff_ms * attempt;
+      if (attempt > 0) report.retry_ms += kRetryBackoffMs * attempt;
       if (program_verified(last_good_image_, report)) {
         ++health_.fallbacks_to_last_good;
         health_state_ = MasterHealth::kDegradedLastGood;

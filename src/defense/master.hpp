@@ -75,10 +75,8 @@ struct MasterConfig {
   bool set_readout_protection = true;
 
   // --- Reflash robustness policy (DESIGN.md §9) ------------------------------
-  // The retry bounds are fixed: kPageRetries, kImageRetries and
-  // kContainerReadRetries in master.cpp.
-  /// Linear backoff added per retry (attempt k waits k * backoff).
-  double retry_backoff_ms = 2.0;
+  // The retry bounds and their linear backoff are fixed: kPageRetries,
+  // kImageRetries, kContainerReadRetries and kRetryBackoffMs in master.cpp.
   /// Endurance floor reserved for watchdog-triggered recovery: scheduled
   /// re-randomizations stop once endurance_remaining() falls to or below
   /// this, while attack-triggered reflashes continue to zero.

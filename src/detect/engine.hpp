@@ -95,14 +95,10 @@ struct Verdict {
   const char* reason = "";     ///< static description (no allocation in hooks)
 };
 
+/// The stack reserve, the freed-frame ring and the verdict log cap are
+/// fixed: kStackReserveBytes, kFreedRing and kMaxVerdicts in engine.cpp.
 struct EngineConfig {
   unsigned detectors = kDetectAll;
-  /// Legal stack region is [RAMEND - stack_reserve_bytes + 1, RAMEND].
-  std::uint16_t stack_reserve_bytes = 512;
-  /// Recently-freed frame records kept for crash-time canary forensics.
-  std::size_t freed_ring = 16;
-  /// Verdict log cap (the tripped() latch and trip counter keep counting).
-  std::size_t max_verdicts = 16;
 };
 
 class Engine : public avr::Tracer {
@@ -129,7 +125,6 @@ class Engine : public avr::Tracer {
     policy_ = std::move(policy);
   }
   void clear_policy() { policy_ = MaterializedPolicy{}; }
-  bool has_policy() const { return !policy_.empty(); }
 
   /// Clears per-run state (shadow stack, frame records, SP edge state,
   /// the tripped() latch) for a board reset/reflash. The verdict log and
@@ -139,7 +134,7 @@ class Engine : public avr::Tracer {
 
   /// True once any detector fired since the last reset_dynamic().
   bool tripped() const { return tripped_; }
-  /// Verdicts fired over the engine's lifetime (capped at max_verdicts).
+  /// Verdicts fired over the engine's lifetime (capped at kMaxVerdicts).
   const std::vector<Verdict>& verdicts() const { return verdicts_; }
   /// Total verdicts fired over the engine's lifetime (uncapped).
   std::uint64_t total_trips() const { return total_trips_; }
