@@ -37,7 +37,6 @@ class OutputPort {
   std::uint64_t write_count() const { return write_count_; }
 
   const std::vector<Write>& history() const { return history_; }
-  void clear_history() { history_.clear(); }
 
   /// Power-on: never written, empty history.
   void power_on() {

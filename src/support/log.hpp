@@ -1,5 +1,5 @@
-// Minimal leveled logger. Disabled (Warn) by default so tests and benches
-// stay quiet; examples raise the level to narrate what the system does.
+// Minimal leveled logger. Warn by default, so tests, benches, tools and
+// examples stay quiet; set_log_level lowers the threshold to see more.
 #pragma once
 
 #include <sstream>

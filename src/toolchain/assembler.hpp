@@ -285,9 +285,6 @@ class FunctionBuilder {
   /// pointers for dispatch tables. Throws when the offset is not fixed.
   std::uint32_t fixed_offset_of(Label l) const;
 
-  /// Number of items emitted so far.
-  std::size_t item_count() const { return fn_.items.size(); }
-
  private:
   void put(item::Item it) { fn_.items.push_back(std::move(it)); }
 

@@ -64,7 +64,6 @@ class ExecutionTrace : public avr::Tracer {
                           std::uint32_t mask = kDefaultMask);
 
   std::uint32_t mask() const { return mask_; }
-  void set_mask(std::uint32_t mask) { mask_ = mask; }
   std::size_t capacity() const { return buffer_.size(); }
 
   /// Appends an event, evicting the oldest when full. Honors the mask.

@@ -42,10 +42,6 @@ std::uint64_t Watchpoints::hit_count(int watch_id) const {
   return n;
 }
 
-void Watchpoints::rearm() {
-  for (SpWatch& w : sp_watches_) w.armed = true;
-}
-
 void Watchpoints::emit(const avr::Cpu& cpu, int id, const std::string& label,
                        std::uint32_t value) {
   hits_.push_back(WatchHit{.watch_id = id,

@@ -55,10 +55,6 @@ class Watchpoints : public avr::Tracer {
 
   const std::vector<WatchHit>& hits() const { return hits_; }
   std::uint64_t hit_count(int watch_id) const;
-  void clear_hits() { hits_.clear(); }
-
-  /// Re-arms every SP watch (e.g. after inspecting a hit mid-run).
-  void rearm();
 
   /// When set, every hit is also recorded as a WatchHit event in `sink`.
   void set_sink(ExecutionTrace* sink) { sink_ = sink; }
