@@ -18,13 +18,6 @@ constexpr std::size_t kPayloadHeader = 1 + 32;
 // this; a frame claiming more is corruption, not data.
 constexpr std::uint32_t kMaxRecordBytes = 16u << 20;
 
-std::uint32_t read_u32_le(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 }  // namespace
 
 AnalysisCache::AnalysisCache(std::string path) : path_(std::move(path)) {
@@ -39,30 +32,22 @@ void AnalysisCache::load_file() {
   support::Bytes file((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   std::size_t pos = 0;
-  while (pos + 8 <= file.size()) {
-    const std::uint32_t len = read_u32_le(file.data() + pos);
-    const std::uint32_t want_crc = read_u32_le(file.data() + pos + 4);
-    if (len < kPayloadHeader || len > kMaxRecordBytes ||
-        pos + 8 + len > file.size()) {
-      // Torn tail or garbled length: framing is gone from here on.
-      ++load_stats_.records_rejected;
-      return;
-    }
-    const std::span<const std::uint8_t> payload(file.data() + pos + 8, len);
-    if (support::crc32_ieee(payload) != want_crc ||
-        payload[0] != kRecordVersion) {
+  while (pos < file.size()) {
+    const auto payload = support::next_frame(file, &pos, kMaxRecordBytes);
+    if (!payload || payload->size() < kPayloadHeader ||
+        (*payload)[0] != kRecordVersion) {
+      // Torn tail, garbled length, bad CRC or trailing scrap: framing is
+      // gone from here on.
       ++load_stats_.records_rejected;
       return;
     }
     support::Sha256Digest digest;
-    std::memcpy(digest.data(), payload.data() + 1, digest.size());
-    entries_[digest] = support::Bytes(payload.begin() + kPayloadHeader,
-                                      payload.end());
+    std::memcpy(digest.data(), payload->data() + 1, digest.size());
+    entries_[digest] = support::Bytes(payload->begin() + kPayloadHeader,
+                                      payload->end());
     ++load_stats_.records_loaded;
-    load_stats_.bytes_loaded += len - kPayloadHeader;
-    pos += 8 + len;
+    load_stats_.bytes_loaded += payload->size() - kPayloadHeader;
   }
-  if (pos != file.size()) ++load_stats_.records_rejected;  // trailing scrap
 }
 
 const support::Bytes* AnalysisCache::lookup(
@@ -84,18 +69,10 @@ void AnalysisCache::append_record(const support::Sha256Digest& digest,
   payload.push_back(kRecordVersion);
   payload.insert(payload.end(), digest.begin(), digest.end());
   payload.insert(payload.end(), record.begin(), record.end());
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = support::crc32_ieee(payload);
-  std::uint8_t header[8] = {
-      static_cast<std::uint8_t>(len), static_cast<std::uint8_t>(len >> 8),
-      static_cast<std::uint8_t>(len >> 16),
-      static_cast<std::uint8_t>(len >> 24),
-      static_cast<std::uint8_t>(crc), static_cast<std::uint8_t>(crc >> 8),
-      static_cast<std::uint8_t>(crc >> 16),
-      static_cast<std::uint8_t>(crc >> 24)};
-  appender_.write(reinterpret_cast<const char*>(header), sizeof(header));
-  appender_.write(reinterpret_cast<const char*>(payload.data()),
-                  static_cast<std::streamsize>(payload.size()));
+  support::Bytes frame;
+  support::put_frame(frame, payload);
+  appender_.write(reinterpret_cast<const char*>(frame.data()),
+                  static_cast<std::streamsize>(frame.size()));
   appender_.flush();
 }
 

@@ -13,7 +13,8 @@
 //   [u32 len][u32 crc32(payload)][payload]
 //   payload = [u8 version][32-byte digest][record bytes]
 //
-// the same defensive framing the campaign checkpoint store uses: a torn
+// the record frame of support/crc.hpp, which the campaign checkpoint store
+// and the campaign service's messages use too: a torn
 // tail (partial append at crash) or a corrupt record (bit rot, concurrent
 // writer) fails the CRC or the length check, loading stops at the last
 // good frame, and the analysis simply recomputes what is missing. A cache

@@ -43,10 +43,7 @@ void CheckpointStore::append(std::uint64_t fingerprint,
   wire::encode_chunk_result(pw, result);
 
   support::Bytes record;
-  support::ByteWriter rw(record);
-  rw.u32_le(static_cast<std::uint32_t>(payload.size()));
-  rw.u32_le(support::crc32_ieee(payload));
-  rw.bytes(payload);
+  support::put_frame(record, payload);
 
   const std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) {
@@ -88,22 +85,13 @@ std::vector<campaign::ChunkResult> CheckpointStore::load(
 
   std::set<std::uint64_t> seen;
   std::size_t pos = 0;
-  while (data.size() - pos >= 8) {
-    support::ByteReader hr(
-        std::span<const std::uint8_t>(data.data() + pos, 8));
-    const std::uint32_t length = hr.u32_le();
-    const std::uint32_t crc = hr.u32_le();
-    if (length < 9 || length > kMaxFrameBytes ||
-        data.size() - pos - 8 < length) {
-      break;  // torn tail (coordinator killed mid-append)
-    }
-    const std::span<const std::uint8_t> payload(data.data() + pos + 8,
-                                                length);
-    if (support::crc32_ieee(payload) != crc) break;
-    pos += 8 + length;
-
+  // A bad frame is a torn tail (coordinator killed mid-append): stop there.
+  // A payload shorter than version + fingerprint cannot be a record.
+  while (const auto payload =
+             support::next_frame(data, &pos, kMaxFrameBytes)) {
+    if (payload->size() < 9) break;
     try {
-      support::ByteReader r(payload);
+      support::ByteReader r(*payload);
       if (r.u8() != wire::kWireVersion) continue;  // stale-format record
       if (wire::get_u64(r) != fingerprint) continue;  // other campaign
       campaign::ChunkResult result = wire::decode_chunk_result(r);

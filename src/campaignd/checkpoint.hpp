@@ -4,9 +4,9 @@
 // Every record the coordinator merges is first appended here, so a killed
 // coordinator resumes a campaign from its completed chunks: on resubmit of
 // a config with the same fingerprint, matching records are loaded and only
-// the missing chunks are scheduled. Records reuse the protocol's
-// length+CRC framing — a torn tail record (killed mid-append) fails its
-// CRC and is ignored, never half-merged.
+// the missing chunks are scheduled. Records use the protocol's length+CRC
+// frame (support/crc.hpp) — a torn tail record (killed mid-append) fails
+// its CRC and is ignored, never half-merged.
 //
 // Durability ladder (DESIGN.md §14): append() pushes each record through
 // the libc buffer to the kernel (fflush), which survives a coordinator

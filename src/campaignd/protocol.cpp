@@ -32,30 +32,28 @@ bool send_message(support::Socket& sock, MsgType type,
   if (payload.size() > kMaxFrameBytes) return false;
 
   support::Bytes frame;
-  support::ByteWriter w(frame);
-  w.u32_le(static_cast<std::uint32_t>(payload.size()));
-  w.u32_le(support::crc32_ieee(payload));
-  w.bytes(payload);
+  support::put_frame(frame, payload);
   return sock.send_all(frame);
 }
 
 support::IoStatus recv_message(support::Socket& sock, Message* out,
                                int timeout_ms) {
-  std::uint8_t header[8];
+  std::uint8_t header[support::kFrameHeaderBytes];
   const support::IoStatus hs = sock.recv_exact(header, sizeof header,
                                                timeout_ms);
   if (hs != support::IoStatus::kOk) return hs;
-  support::ByteReader hr(header);
-  const std::uint32_t length = hr.u32_le();
-  const std::uint32_t crc = hr.u32_le();
-  if (length < 2 || length > kMaxFrameBytes) return support::IoStatus::kClosed;
+  // The cap is checked before the payload is allocated.
+  const support::FrameHeader h = support::read_frame_header(header);
+  if (h.len < 2 || h.len > kMaxFrameBytes) return support::IoStatus::kClosed;
 
-  support::Bytes payload(length);
-  if (sock.recv_exact(payload.data(), length, kPayloadTimeoutMs) !=
+  support::Bytes payload(h.len);
+  if (sock.recv_exact(payload.data(), h.len, kPayloadTimeoutMs) !=
       support::IoStatus::kOk) {
     return support::IoStatus::kClosed;
   }
-  if (support::crc32_ieee(payload) != crc) return support::IoStatus::kClosed;
+  if (support::crc32_ieee(payload) != h.crc) {
+    return support::IoStatus::kClosed;
+  }
   if (payload[0] != wire::kWireVersion) return support::IoStatus::kClosed;
   const std::uint8_t type = payload[1];
   if (type < static_cast<std::uint8_t>(MsgType::kWorkRequest) ||

@@ -1,10 +1,11 @@
 // campaignd wire protocol: length-prefixed, CRC-32-framed messages over an
 // AF_UNIX stream (DESIGN.md §12).
 //
-// Frame layout:
+// Frame layout (support/crc.hpp's record frame, which the checkpoint log
+// and the analysis cache share):
 //   u32  payload length (little-endian, bounded by kMaxFrameBytes)
-//   u32  CRC-32/ISO-HDLC of the payload (support/crc — the same polynomial
-//        the reflash pipeline uses to frame firmware containers)
+//   u32  CRC-32/ISO-HDLC of the payload (the same polynomial the reflash
+//        pipeline uses to frame firmware containers)
 //   payload = [u8 wire version][u8 MsgType][typed body]
 // A length, CRC, or version mismatch is indistinguishable from a torn
 // stream, so receivers report it as kClosed and the connection is dropped —

@@ -83,4 +83,35 @@ std::uint32_t crc32_ieee(std::span<const std::uint8_t> data) {
   return crc.value();
 }
 
+void put_frame(Bytes& out, std::span<const std::uint8_t> payload) {
+  ByteWriter w(out);
+  w.u32_le(static_cast<std::uint32_t>(payload.size()));
+  w.u32_le(crc32_ieee(payload));
+  w.bytes(payload);
+}
+
+FrameHeader read_frame_header(
+    std::span<const std::uint8_t, kFrameHeaderBytes> header) {
+  ByteReader r(header);
+  FrameHeader h;
+  h.len = r.u32_le();
+  h.crc = r.u32_le();
+  return h;
+}
+
+std::optional<std::span<const std::uint8_t>> next_frame(
+    std::span<const std::uint8_t> data, std::size_t* pos,
+    std::uint32_t max_len) {
+  if (data.size() - *pos < kFrameHeaderBytes) return std::nullopt;
+  const FrameHeader h =
+      read_frame_header(data.subspan(*pos).first<kFrameHeaderBytes>());
+  if (h.len > max_len || data.size() - *pos - kFrameHeaderBytes < h.len) {
+    return std::nullopt;
+  }
+  const auto payload = data.subspan(*pos + kFrameHeaderBytes, h.len);
+  if (crc32_ieee(payload) != h.crc) return std::nullopt;
+  *pos += kFrameHeaderBytes + h.len;
+  return payload;
+}
+
 }  // namespace mavr::support
