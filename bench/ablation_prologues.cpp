@@ -7,27 +7,23 @@
 #include <cstdio>
 
 #include "attack/gadgets.hpp"
-#include "avr/decode.hpp"
+#include "avr/walk.hpp"
 #include "bench_util.hpp"
-#include "support/bytes.hpp"
 
 namespace {
 
 // Counts JMP/CALL instructions targeting [lo, hi) byte addresses.
 std::uint32_t count_refs(const mavr::toolchain::Image& image,
                          std::uint32_t lo, std::uint32_t hi) {
+  using mavr::avr::Op;
   std::uint32_t refs = 0;
-  std::uint32_t pos = 0;
-  while (pos + 2 <= image.text_end) {
-    const mavr::avr::Instr in = mavr::avr::decode(
-        image.word_at(pos),
-        pos + 2 < image.text_end ? image.word_at(pos + 2) : 0);
-    if (in.op == mavr::avr::Op::Jmp || in.op == mavr::avr::Op::Call) {
-      const std::uint32_t target = static_cast<std::uint32_t>(in.target) * 2;
-      if (target >= lo && target < hi) ++refs;
-    }
-    pos += in.size_words * 2;
-  }
+  mavr::avr::for_each_instr(
+      std::span(image.bytes).first(image.text_end), 0,
+      [&](std::uint32_t, const mavr::avr::Instr& in) {
+        if (in.op != Op::Jmp && in.op != Op::Call) return;
+        const std::uint32_t target = static_cast<std::uint32_t>(in.target) * 2;
+        if (target >= lo && target < hi) ++refs;
+      });
   return refs;
 }
 

@@ -1,8 +1,11 @@
 // Tracer overhead on the interpreter hot loop: the same firmware run
-// untraced (the single null-pointer branch), under each concrete sink, and
-// under the full Session. The untraced number must stay within a few
-// percent of BM_CpuSimulation in micro_bench — that is the zero-cost-when-
-// disabled contract of the observability layer.
+// untraced (the single null-pointer branch), under each concrete sink,
+// under the intrusion-detection engine with each detector alone and all of
+// them (DESIGN.md §10), and under the full Session. The untraced number
+// must stay within a few percent of BM_CpuSimulation in micro_bench — that
+// is the zero-cost-when-disabled contract of the observability layer. The
+// spread between BM_Untraced and BM_Detectors is the on-board price of the
+// detection layer the paper argues randomization makes unnecessary.
 #include <benchmark/benchmark.h>
 
 #include "detect/engine.hpp"
@@ -103,18 +106,49 @@ void BM_Watchpoints(benchmark::State& state) {
 }
 BENCHMARK(BM_Watchpoints)->Unit(benchmark::kMicrosecond);
 
-void BM_Detectors(benchmark::State& state) {
-  // The full intrusion-detection engine (DESIGN.md §10) on the same hooks:
-  // separates tracer-only cost from tracer+detector cost (detect_overhead
-  // sweeps the individual detectors).
+// The engine armed before boot, so its shadow stack sees every call of
+// the clean flight and any verdict is a false positive.
+void bench_engine(benchmark::State& state, unsigned detectors) {
   sim::Board board;
   board.flash_image(test_fw().image.bytes);
-  board.run_cycles(200'000);
-  detect::Engine engine;
+  detect::Engine engine(detect::EngineConfig{.detectors = detectors});
   engine.arm(board.cpu());
   engine.rebuild(test_fw().image.bytes, test_fw().image.text_end);
+  board.run_cycles(200'000);
   for (auto _ : state) run_slice(state, board);
   sim_rate(state);
+  if (engine.tripped()) state.SkipWithError("false positive on clean flight");
+}
+
+void BM_EngineNoDetectors(benchmark::State& state) {
+  // Every detector masked off: the cost of the instrumented interpreter
+  // instantiation plus the mask checks.
+  bench_engine(state, detect::kDetectNone);
+}
+BENCHMARK(BM_EngineNoDetectors)->Unit(benchmark::kMicrosecond);
+
+void BM_Canary(benchmark::State& state) {
+  bench_engine(state, detect::kDetectCanary);
+}
+BENCHMARK(BM_Canary)->Unit(benchmark::kMicrosecond);
+
+void BM_ShadowStack(benchmark::State& state) {
+  bench_engine(state, detect::kDetectShadowStack);
+}
+BENCHMARK(BM_ShadowStack)->Unit(benchmark::kMicrosecond);
+
+void BM_SpBounds(benchmark::State& state) {
+  bench_engine(state, detect::kDetectSpBounds);
+}
+BENCHMARK(BM_SpBounds)->Unit(benchmark::kMicrosecond);
+
+void BM_ReturnCfi(benchmark::State& state) {
+  bench_engine(state, detect::kDetectReturnCfi);
+}
+BENCHMARK(BM_ReturnCfi)->Unit(benchmark::kMicrosecond);
+
+void BM_Detectors(benchmark::State& state) {
+  bench_engine(state, detect::kDetectAll);
 }
 BENCHMARK(BM_Detectors)->Unit(benchmark::kMicrosecond);
 

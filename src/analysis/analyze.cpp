@@ -7,8 +7,8 @@
 #include <map>
 #include <set>
 
-#include "avr/decode.hpp"
 #include "avr/mcu.hpp"
+#include "avr/walk.hpp"
 #include "support/error.hpp"
 
 namespace mavr::analysis {
@@ -579,52 +579,15 @@ void run_constprop(std::span<const std::uint8_t> body, const RegionCfg& cfg,
   AbsState state;
   for (const BasicBlock& block : cfg.blocks) {
     state.reset();  // leaders may be reached from anywhere: assume nothing
-    std::uint32_t pos = block.start;
-    while (pos + 2 <= block.end) {
-      const std::uint16_t w1 = support::load_u16_le(body, pos);
-      const std::uint16_t w2 = (pos + 4 <= static_cast<std::uint32_t>(
-                                               body.size()))
-                                   ? support::load_u16_le(body, pos + 2)
-                                   : 0;
-      const avr::Instr in = avr::decode(w1, w2);
-      step(state, in, sink);
-      pos += in.size_words * 2u;
-    }
+    avr::for_each_instr(
+        body.subspan(block.start, block.end - block.start), block.start,
+        [&](std::uint32_t, const avr::Instr& in) { step(state, in, sink); });
   }
   sort_unique(rec.ram_stores);
   sort_unique(rec.ram_loads);
 }
 
 }  // namespace
-
-// --- FuncIndex --------------------------------------------------------------
-
-FuncIndex::FuncIndex(std::span<const std::uint32_t> addrs,
-                     std::span<const std::uint32_t> sizes)
-    : addrs_(addrs.begin(), addrs.end()), sizes_(sizes.begin(), sizes.end()) {
-  MAVR_REQUIRE(addrs_.size() == sizes_.size(),
-               "address/size arrays must be parallel");
-  order_.resize(addrs_.size());
-  for (std::uint32_t i = 0; i < order_.size(); ++i) order_[i] = i;
-  std::sort(order_.begin(), order_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return addrs_[a] < addrs_[b];
-            });
-}
-
-int FuncIndex::containing(std::int64_t byte_addr,
-                          std::uint32_t* offset_out) const {
-  if (byte_addr < 0) return -1;
-  const std::uint32_t addr = static_cast<std::uint32_t>(byte_addr);
-  const auto it = std::upper_bound(
-      order_.begin(), order_.end(), addr,
-      [&](std::uint32_t a, std::uint32_t i) { return a < addrs_[i]; });
-  if (it == order_.begin()) return -1;
-  const std::uint32_t i = *(it - 1);
-  if (addr >= addrs_[i] + sizes_[i]) return -1;
-  if (offset_out != nullptr) *offset_out = addr - addrs_[i];
-  return static_cast<int>(i);
-}
 
 // --- FuncRecord wire form ---------------------------------------------------
 
@@ -761,7 +724,7 @@ FuncRecord FuncRecord::deserialize(std::span<const std::uint8_t> data) {
 
 support::Sha256Digest canonical_function_digest(
     std::span<const std::uint8_t> image, std::uint32_t addr,
-    std::uint32_t size, const FuncIndex& index,
+    std::uint32_t size, const toolchain::FunctionIndex& index,
     std::span<const toolchain::PointerSlot> slots) {
   MAVR_REQUIRE(std::uint64_t{addr} + size <= image.size(),
                "function range outside the image");
@@ -773,21 +736,21 @@ support::Sha256Digest canonical_function_digest(
   meta.clear();
   support::ByteWriter mw(meta);
   mw.u32_le(size);
-  // One linear walk with real instruction boundaries (is_two_word is a
-  // bit test, not a decode): JMP/CALL opcodes are recognized by their
-  // fixed bits (1001 010k kkkk 11xk), the only words the randomizer
-  // patches inside code. Their 22-bit targets are masked out of the
-  // hashed bytes and re-expressed as (callee index, offset), which is
-  // identical across permutations.
+  // One linear walk with real instruction boundaries, cut by the walker's
+  // rule (avr::instr_words is a bit test, not a decode): JMP/CALL opcodes
+  // are recognized by their fixed bits (1001 010k kkkk 11xk), the only
+  // words the randomizer patches inside code. Their 22-bit targets are
+  // masked out of the hashed bytes and re-expressed as (callee index,
+  // offset), which is identical across permutations.
   std::uint32_t pos = 0;
   while (pos + 2 <= size) {
     const std::uint16_t w1 = support::load_u16_le(image, addr + pos);
-    const bool two = avr::is_two_word(w1);
-    if (two && pos + 4 > size) break;  // straddles the end: keep raw bytes
+    const std::uint32_t words = avr::instr_words(w1, (size - pos) / 2);
+    if (words == 0) break;  // truncated: keep the raw bytes
     if ((w1 & 0xFE0E) == 0x940C || (w1 & 0xFE0E) == 0x940E) {
       const std::uint16_t w2 = support::load_u16_le(image, addr + pos + 2);
       const avr::Instr in = avr::decode(w1, w2);
-      const std::int64_t target = std::int64_t{in.target} * 2;
+      const std::uint32_t target = static_cast<std::uint32_t>(in.target) * 2;
       std::uint32_t off = 0;
       const int callee = index.containing(target, &off);
       support::store_u16_le(scratch, pos,
@@ -795,9 +758,9 @@ support::Sha256Digest canonical_function_digest(
       support::store_u16_le(scratch, pos + 2, 0);
       mw.u32_le(pos);
       mw.u32_le(static_cast<std::uint32_t>(callee));
-      mw.u32_le(callee >= 0 ? off : static_cast<std::uint32_t>(target));
+      mw.u32_le(callee >= 0 ? off : target);
     }
-    pos += two ? 4 : 2;
+    pos += words * 2;
   }
   // Pointer slots inside the function body (none in generated firmware,
   // where tables live in the data-init region — handled for generality):
@@ -813,7 +776,7 @@ support::Sha256Digest canonical_function_digest(
       value |= static_cast<std::uint32_t>(image[slot.image_offset + i])
                << (8 * i);
     }
-    const std::int64_t target = std::int64_t{value} * 2;
+    const std::uint32_t target = value * 2;
     std::uint32_t off = 0;
     const int callee = index.containing(target, &off);
     for (unsigned i = 0; i < slot.width; ++i) {
@@ -822,7 +785,7 @@ support::Sha256Digest canonical_function_digest(
     mw.u32_le(slot.image_offset - addr);
     mw.u8(slot.width);
     mw.u32_le(static_cast<std::uint32_t>(callee));
-    mw.u32_le(callee >= 0 ? off : static_cast<std::uint32_t>(target));
+    mw.u32_le(callee >= 0 ? off : target);
   }
   support::Sha256 h;
   h.update(scratch);
@@ -833,7 +796,14 @@ support::Sha256Digest canonical_function_digest(
 // --- Per-function analysis --------------------------------------------------
 
 FuncRecord analyze_function(std::span<const std::uint8_t> body,
-                            std::uint32_t addr, const FuncIndex& index) {
+                            std::uint32_t addr,
+                            const toolchain::FunctionIndex& index) {
+  // Absolute byte targets; an rjmp near the base can reach below zero.
+  const auto resolve = [&](std::int64_t target, std::uint32_t* off) {
+    return target < 0 ? -1
+                      : index.containing(static_cast<std::uint32_t>(target),
+                                         off);
+  };
   FuncRecord rec;
   rec.size = static_cast<std::uint32_t>(body.size());
   const RegionCfg cfg = build_region_cfg(body, addr);
@@ -854,7 +824,7 @@ FuncRecord analyze_function(std::span<const std::uint8_t> body,
     fc.indirect = c.indirect ? 1 : 0;
     if (!c.indirect) {
       std::uint32_t off = 0;
-      fc.callee = index.containing(c.target, &off);
+      fc.callee = resolve(c.target, &off);
       fc.callee_offset =
           fc.callee >= 0
               ? off
@@ -866,7 +836,7 @@ FuncRecord analyze_function(std::span<const std::uint8_t> body,
     FuncTailJump tj;
     tj.offset = j.offset;
     std::uint32_t off = 0;
-    tj.callee = index.containing(j.target, &off);
+    tj.callee = resolve(j.target, &off);
     tj.callee_offset =
         tj.callee >= 0
             ? off
@@ -890,7 +860,8 @@ AnalysisReport Analyzer::analyze(std::span<const std::uint8_t> image,
   const std::size_t n = blob.function_addrs.size();
   MAVR_REQUIRE(blob.function_sizes.size() == n,
                "blob address/size arrays must be parallel");
-  const FuncIndex index(blob.function_addrs, blob.function_sizes);
+  const toolchain::FunctionIndex index(blob.function_addrs,
+                                       blob.function_sizes);
 
   AnalysisReport rep;
   rep.image_digest = support::sha256(image);
@@ -940,8 +911,7 @@ AnalysisReport Analyzer::analyze(std::span<const std::uint8_t> image,
       value |= static_cast<std::uint32_t>(image[slot.image_offset + b])
                << (8 * b);
     }
-    std::uint32_t off = 0;
-    const int idx = index.containing(std::int64_t{value} * 2, &off);
+    const int idx = index.containing(value * 2);
     if (idx >= 0) addr_taken[static_cast<std::size_t>(idx)] = 1;
   }
   rep.address_taken = static_cast<std::uint32_t>(
@@ -1164,10 +1134,9 @@ AnalysisReport Analyzer::analyze(std::span<const std::uint8_t> image,
     }
   };
   std::uint32_t cursor = 0;
-  for (const std::uint32_t i : index.by_address()) {
-    scan_gap(cursor, blob.function_addrs[i]);
-    cursor = std::max(cursor, blob.function_addrs[i] +
-                                  blob.function_sizes[i]);
+  for (const toolchain::FunctionIndex::Entry& fn : index.entries()) {
+    scan_gap(cursor, fn.start);
+    cursor = std::max(cursor, fn.end);
   }
   scan_gap(cursor, blob.text_end);
   std::sort(rep.gadgets.begin(), rep.gadgets.end(),

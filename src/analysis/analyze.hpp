@@ -38,6 +38,7 @@
 #include "detect/policy.hpp"
 #include "support/bytes.hpp"
 #include "support/sha256.hpp"
+#include "toolchain/function_index.hpp"
 #include "toolchain/image.hpp"
 
 namespace mavr::analysis {
@@ -46,36 +47,6 @@ struct AnalyzeOptions {
   /// Data-space addresses whose *reads* make a function a taint source.
   /// Default: UDR0, the MAVLink RX register (firmware::Generator::kUartData).
   std::vector<std::uint16_t> taint_sources = {0xC6};
-};
-
-/// Byte-address → (function index, offset) resolver over a layout.
-///
-/// Indices are *blob* indices — positions in the arrays as given, which for
-/// a randomized layout are NOT ascending by address (the blob keeps its
-/// original order while the blocks move). Keeping blob indices stable
-/// across layouts is what makes the canonical digests, FuncRecords and
-/// PolicySet permutation-invariant; lookups go through an internal
-/// address-sorted view.
-class FuncIndex {
- public:
-  FuncIndex(std::span<const std::uint32_t> addrs,
-            std::span<const std::uint32_t> sizes);
-
-  std::size_t count() const { return addrs_.size(); }
-  std::uint32_t addr(std::size_t i) const { return addrs_[i]; }
-  std::uint32_t size(std::size_t i) const { return sizes_[i]; }
-
-  /// Blob indices in ascending-address order (for gap walks).
-  const std::vector<std::uint32_t>& by_address() const { return order_; }
-
-  /// Index of the function whose [addr, addr+size) contains `byte_addr`
-  /// (offset written to `offset_out`), or -1.
-  int containing(std::int64_t byte_addr, std::uint32_t* offset_out) const;
-
- private:
-  std::vector<std::uint32_t> addrs_;  ///< blob order
-  std::vector<std::uint32_t> sizes_;
-  std::vector<std::uint32_t> order_;  ///< blob indices sorted by address
 };
 
 /// One call instruction, position-independent.
@@ -136,13 +107,14 @@ struct FuncRecord {
 /// same digest — the block-level cache key.
 support::Sha256Digest canonical_function_digest(
     std::span<const std::uint8_t> image, std::uint32_t addr,
-    std::uint32_t size, const FuncIndex& index,
+    std::uint32_t size, const toolchain::FunctionIndex& index,
     std::span<const toolchain::PointerSlot> slots);
 
 /// Analyzes one function body (already sliced out of the image) into its
 /// position-independent record. `addr` only labels the CFG base.
 FuncRecord analyze_function(std::span<const std::uint8_t> body,
-                            std::uint32_t addr, const FuncIndex& index);
+                            std::uint32_t addr,
+                            const toolchain::FunctionIndex& index);
 
 /// One gadget site ranked by taint reachability.
 struct RankedGadget {

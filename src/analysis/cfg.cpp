@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <optional>
 
-#include "avr/decode.hpp"
-#include "avr/instr.hpp"
-#include "support/bytes.hpp"
+#include "avr/walk.hpp"
 
 namespace mavr::analysis {
 
@@ -78,31 +77,18 @@ RegionCfg build_region_cfg(std::span<const std::uint8_t> code,
   cfg.base = base;
   cfg.size = static_cast<std::uint32_t>(code.size());
 
-  // Pass 1 — linear decode. A 32-bit instruction whose second word would
-  // lie past the region end is recorded as truncated and stops the sweep:
-  // there is no complete instruction to give to the decoder.
+  // Pass 1 — linear decode (avr/walk.hpp). A 32-bit instruction whose
+  // second word would lie past the region end is recorded as truncated.
   std::vector<DecodedInstr> instrs;
   instrs.reserve(code.size() / 2);
   // word offset -> index into `instrs`, -1 for non-boundary words.
   std::vector<std::int32_t> word_to_idx(code.size() / 2, -1);
-  bool truncated_tail = false;
-  std::uint32_t truncated_at = 0;
-  std::uint32_t pos = 0;
-  while (pos + 2 <= cfg.size) {
-    const std::uint16_t w1 = support::load_u16_le(code, pos);
-    if (avr::is_two_word(w1) && pos + 4 > cfg.size) {
-      cfg.truncated.push_back(pos);
-      truncated_tail = true;
-      truncated_at = pos;
-      break;
-    }
-    const std::uint16_t w2 =
-        (pos + 4 <= cfg.size) ? support::load_u16_le(code, pos + 2) : 0;
-    const avr::Instr in = avr::decode(w1, w2);
-    word_to_idx[pos / 2] = static_cast<std::int32_t>(instrs.size());
-    instrs.push_back({pos, in});
-    pos += in.size_words * 2u;
-  }
+  const std::optional<std::uint32_t> truncated = avr::for_each_instr(
+      code, 0, [&](std::uint32_t pos, const avr::Instr& in) {
+        word_to_idx[pos / 2] = static_cast<std::int32_t>(instrs.size());
+        instrs.push_back({pos, in});
+      });
+  if (truncated) cfg.truncated.push_back(*truncated);
 
   // Pass 2 — resolve targets, collect leaders and per-instruction edges.
   // Region-relative arithmetic keeps everything position-independent; only
@@ -236,18 +222,18 @@ RegionCfg build_region_cfg(std::span<const std::uint8_t> code,
   if (open) {
     // The region ran out under us: either a straddling 32-bit instruction
     // (truncated) or plain fall-through into whatever bytes follow.
-    close(truncated_tail ? truncated_at
-                         : instrs.back().offset +
-                               static_cast<std::uint32_t>(
-                                   instrs.back().in.size_words) * 2,
-          truncated_tail ? BlockEnd::kTruncated : BlockEnd::kFallsOffEnd, {});
-  } else if (truncated_tail && cfg.blocks.empty()) {
+    close(truncated ? *truncated
+                    : instrs.back().offset +
+                          static_cast<std::uint32_t>(
+                              instrs.back().in.size_words) * 2,
+          truncated ? BlockEnd::kTruncated : BlockEnd::kFallsOffEnd, {});
+  } else if (truncated && cfg.blocks.empty()) {
     // Region *starts* with a straddling instruction: one empty block
     // records the fact so the CFG is never silently empty for a non-empty
     // region.
-    block.start = truncated_at;
+    block.start = *truncated;
     open = true;
-    close(truncated_at, BlockEnd::kTruncated, {});
+    close(*truncated, BlockEnd::kTruncated, {});
   }
 
   std::sort(cfg.jumps_out.begin(), cfg.jumps_out.end(),

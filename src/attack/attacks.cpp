@@ -1,6 +1,8 @@
 #include "attack/attacks.hpp"
 
-#include "avr/decode.hpp"
+#include <algorithm>
+
+#include "avr/walk.hpp"
 #include "mavlink/mavlink.hpp"
 #include "sim/board.hpp"
 #include "sim/ground.hpp"
@@ -14,24 +16,28 @@ std::uint16_t parse_frame_bytes(const toolchain::Image& image,
                                 std::uint32_t fn_byte_addr) {
   // Walk the prologue: pushes, then `in r28/r29`, then either
   // `sbiw r28, k` or `subi r28, lo ; sbci r29, hi`.
-  std::uint32_t pos = fn_byte_addr;
+  const std::span<const std::uint8_t> code(image.bytes);
   std::uint16_t lo = 0;
-  for (int steps = 0; steps < 40 && pos + 2 <= image.bytes.size(); ++steps) {
-    const avr::Instr in = avr::decode(
-        image.word_at(pos), pos + 2 < image.bytes.size()
-                                ? image.word_at(pos + 2)
-                                : std::uint16_t{0});
-    if (in.op == Op::Sbiw && in.rd == 28) return in.k;
-    if (in.op == Op::Subi && in.rd == 28) {
-      lo = in.k;
-    } else if (in.op == Op::Sbci && in.rd == 29) {
-      return static_cast<std::uint16_t>(lo | (in.k << 8));
-    } else if (in.op != Op::Push && in.op != Op::In) {
-      break;  // past the prologue
-    }
-    pos += in.size_words * 2;
-  }
-  return 0;
+  std::uint16_t frame = 0;
+  int steps = 0;
+  avr::for_each_instr(
+      code.subspan(std::min<std::size_t>(fn_byte_addr, code.size())),
+      fn_byte_addr, [&](std::uint32_t, const avr::Instr& in) {
+        if (in.op == Op::Sbiw && in.rd == 28) {
+          frame = in.k;
+          return false;
+        }
+        if (in.op == Op::Subi && in.rd == 28) {
+          lo = in.k;
+        } else if (in.op == Op::Sbci && in.rd == 29) {
+          frame = static_cast<std::uint16_t>(lo | (in.k << 8));
+          return false;
+        } else if (in.op != Op::Push && in.op != Op::In) {
+          return false;  // past the prologue
+        }
+        return ++steps < 40;
+      });
+  return frame;
 }
 
 VictimFrame probe_victim(const toolchain::Image& stock_image,

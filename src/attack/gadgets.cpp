@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
-#include "avr/decode.hpp"
 #include "avr/mcu.hpp"
-#include "support/bytes.hpp"
+#include "avr/walk.hpp"
 
 namespace mavr::attack {
 
@@ -27,22 +26,15 @@ GadgetFinder::GadgetFinder(std::span<const std::uint8_t> image,
 
 void GadgetFinder::scan(std::span<const std::uint8_t> image,
                         std::uint32_t text_end) {
-  // Linear sweep. AVR's two-byte alignment makes this reliable: unlike
-  // x86 there are no overlapping instruction streams at odd offsets.
   std::vector<Instr> instrs;
   std::vector<std::uint32_t> addrs;
-  std::uint32_t pos = 0;
   const std::uint32_t limit = std::min<std::uint32_t>(
       text_end, static_cast<std::uint32_t>(image.size()));
-  while (pos + 2 <= limit) {
-    const std::uint16_t w1 = support::load_u16_le(image, pos);
-    const std::uint16_t w2 =
-        (pos + 4 <= limit) ? support::load_u16_le(image, pos + 2) : 0;
-    const Instr in = avr::decode(w1, w2);
-    instrs.push_back(in);
-    addrs.push_back(pos);
-    pos += in.size_words * 2;
-  }
+  avr::for_each_instr(image.first(limit), 0,
+                      [&](std::uint32_t addr, const Instr& in) {
+                        instrs.push_back(in);
+                        addrs.push_back(addr);
+                      });
 
   const auto pops_before_ret = [&](std::size_t ret_idx,
                                    std::size_t first) {

@@ -169,12 +169,6 @@ Instr decode_misc(std::uint16_t w, std::uint16_t second) {
 
 }  // namespace
 
-bool is_two_word(std::uint16_t w) {
-  // LDS/STS: 1001 00xd dddd 0000 ; JMP/CALL: 1001 010k kkkk 11xk.
-  if ((w & 0xFC0F) == 0x9000) return true;
-  return (w & 0xFE0C) == 0x940C;
-}
-
 Instr decode(std::uint16_t w, std::uint16_t second) {
   Instr in;
   switch (w >> 12) {

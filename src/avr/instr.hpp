@@ -54,8 +54,13 @@ struct Instr {
   std::uint8_t size_words = 1;
 };
 
-/// True for the 32-bit encodings (Jmp, Call, Lds, Sts).
-bool is_two_word(std::uint16_t first_word);
+/// True for the 32-bit encodings (Jmp, Call, Lds, Sts). Inline: the
+/// digest's bit-test walk (avr/walk.hpp's instr_words) runs it per word.
+inline bool is_two_word(std::uint16_t first_word) {
+  // LDS/STS: 1001 00xd dddd 0000 ; JMP/CALL: 1001 010k kkkk 11xk.
+  if ((first_word & 0xFC0F) == 0x9000) return true;
+  return (first_word & 0xFE0C) == 0x940C;
+}
 
 /// Mnemonic for an opcode ("add", "std", ...). For diagnostics and the
 /// disassembler.

@@ -3,52 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
-#include "avr/decode.hpp"
+#include "avr/walk.hpp"
 #include "support/error.hpp"
 #include "toolchain/encode.hpp"
+#include "toolchain/function_index.hpp"
 
 namespace mavr::defense {
 
 using toolchain::SymbolBlob;
-
-namespace {
-
-/// Old-address bookkeeping for one movable pass.
-class AddressMap {
- public:
-  AddressMap(const SymbolBlob& blob, std::vector<std::uint32_t> new_addrs)
-      : blob_(blob), new_addrs_(std::move(new_addrs)) {}
-
-  /// Index of the blob function containing `old_byte_addr`, or -1.
-  /// Binary search over the ascending old addresses — the operation the
-  /// paper describes for trampoline targets (§VI-B3).
-  int containing(std::uint32_t old_byte_addr) const {
-    const auto& addrs = blob_.function_addrs;
-    auto it = std::upper_bound(addrs.begin(), addrs.end(), old_byte_addr);
-    if (it == addrs.begin()) return -1;
-    const int idx = static_cast<int>(std::distance(addrs.begin(), it)) - 1;
-    if (old_byte_addr < addrs[idx] + blob_.function_sizes[idx]) return idx;
-    return -1;
-  }
-
-  /// Maps an old text byte address to its new location; identity for
-  /// addresses outside any function (vector table, data region).
-  std::uint32_t map(std::uint32_t old_byte_addr, bool* was_mid) const {
-    const int idx = containing(old_byte_addr);
-    if (idx < 0) return old_byte_addr;
-    const std::uint32_t offset = old_byte_addr - blob_.function_addrs[idx];
-    if (was_mid != nullptr && offset != 0) *was_mid = true;
-    return new_addrs_[static_cast<std::size_t>(idx)] + offset;
-  }
-
-  std::uint32_t new_addr(std::size_t idx) const { return new_addrs_[idx]; }
-
- private:
-  const SymbolBlob& blob_;
-  std::vector<std::uint32_t> new_addrs_;
-};
-
-}  // namespace
 
 std::size_t movable_count(const SymbolBlob& blob) {
   std::size_t n = 0;
@@ -163,8 +125,21 @@ RandomizeResult randomize_image(std::span<const std::uint8_t> image,
              "permuted layout size mismatch");
 
   RandomizeResult result;
-  result.new_addrs = new_addrs;
-  AddressMap map(blob, std::move(new_addrs));
+  result.new_addrs = std::move(new_addrs);
+
+  // Maps an old text byte address to its new location through the binary
+  // search over the old function addresses (the paper's operation for
+  // trampoline targets, §VI-B3); identity for addresses outside any
+  // function (vector table, data region).
+  const toolchain::FunctionIndex old_index(blob.function_addrs,
+                                           blob.function_sizes);
+  const auto map = [&](std::uint32_t old_byte_addr, bool* was_mid) {
+    std::uint32_t offset = 0;
+    const int idx = old_index.containing(old_byte_addr, &offset);
+    if (idx < 0) return old_byte_addr;
+    if (offset != 0) *was_mid = true;
+    return result.new_addrs[static_cast<std::size_t>(idx)] + offset;
+  };
 
   // Lay the new image out: head (vectors + pinned code), then erased
   // flash over the whole layout region, then the permuted blocks; the
@@ -176,7 +151,7 @@ RandomizeResult randomize_image(std::span<const std::uint8_t> image,
   for (std::size_t idx : new_order) {
     const std::uint32_t old_addr = blob.function_addrs[idx];
     const std::uint32_t size = blob.function_sizes[idx];
-    const std::uint32_t dst = map.new_addr(idx);
+    const std::uint32_t dst = result.new_addrs[idx];
     std::copy(image.begin() + old_addr, image.begin() + old_addr + size,
               result.image.begin() + dst);
     if (dst != old_addr) ++result.moved_functions;
@@ -192,46 +167,44 @@ RandomizeResult randomize_image(std::span<const std::uint8_t> image,
   std::vector<Region> regions;
   regions.push_back(Region{0, 0, blob.first_movable});  // pinned head
   for (std::size_t idx : new_order) {
-    regions.push_back(Region{map.new_addr(idx), blob.function_addrs[idx],
+    regions.push_back(Region{result.new_addrs[idx], blob.function_addrs[idx],
                              blob.function_sizes[idx]});
   }
 
   for (const Region& region : regions) {
-    std::uint32_t off = 0;
-    while (off + 2 <= region.size) {
-      const std::uint32_t pos = region.new_base + off;
-      const std::uint16_t w1 = support::load_u16_le(result.image, pos);
-      const std::uint16_t w2 =
-          (off + 4 <= region.size)
-              ? support::load_u16_le(result.image, pos + 2)
-              : std::uint16_t{0};
-      const avr::Instr instr = avr::decode(w1, w2);
-      const std::uint32_t old_pos = region.old_base + off;
-
-      if (instr.op == avr::Op::Call || instr.op == avr::Op::Jmp) {
-        const std::uint32_t old_target =
-            static_cast<std::uint32_t>(instr.target) * 2;
-        bool mid = false;
-        const std::uint32_t new_target = map.map(old_target, &mid);
-        const auto [nw1, nw2] =
-            toolchain::retarget_abs_jump(w1, new_target / 2);
-        support::store_u16_le(result.image, pos, nw1);
-        support::store_u16_le(result.image, pos + 2, nw2);
-        ++result.patched_abs_jumps;
-        if (mid) ++result.mid_function_targets;
-      } else if (instr.op == avr::Op::Rcall ||
-                 (instr.op == avr::Op::Rjmp && region.old_base != 0)) {
-        // Relative transfers must stay inside their block; a short call
-        // crossing blocks means the image was linked with relaxation.
-        const std::int64_t target_old =
-            static_cast<std::int64_t>(old_pos) / 2 + 1 + instr.target;
-        const std::int64_t lo = region.old_base / 2;
-        const std::int64_t hi = (region.old_base + region.size) / 2;
-        MAVR_REQUIRE(target_old >= lo && target_old < hi,
-                     "relaxed RCALL/RJMP crosses a function boundary; "
-                     "MAVR requires --no-relax");
-      }
-      off += instr.size_words * 2;
+    const auto truncated = avr::for_each_instr(
+        std::span<const std::uint8_t>(result.image)
+            .subspan(region.new_base, region.size),
+        region.old_base, [&](std::uint32_t old_pos, const avr::Instr& instr) {
+          if (instr.op == avr::Op::Call || instr.op == avr::Op::Jmp) {
+            const std::uint32_t pos =
+                region.new_base + (old_pos - region.old_base);
+            bool mid = false;
+            const std::uint32_t new_target =
+                map(static_cast<std::uint32_t>(instr.target) * 2, &mid);
+            const auto [nw1, nw2] = toolchain::retarget_abs_jump(
+                support::load_u16_le(result.image, pos), new_target / 2);
+            support::store_u16_le(result.image, pos, nw1);
+            support::store_u16_le(result.image, pos + 2, nw2);
+            ++result.patched_abs_jumps;
+            if (mid) ++result.mid_function_targets;
+          } else if (instr.op == avr::Op::Rcall ||
+                     (instr.op == avr::Op::Rjmp && region.old_base != 0)) {
+            // Relative transfers must stay inside their block; a short call
+            // crossing blocks means the image was linked with relaxation.
+            const std::int64_t target_old =
+                static_cast<std::int64_t>(old_pos) / 2 + 1 + instr.target;
+            const std::int64_t lo = region.old_base / 2;
+            const std::int64_t hi = (region.old_base + region.size) / 2;
+            MAVR_REQUIRE(target_old >= lo && target_old < hi,
+                         "relaxed RCALL/RJMP crosses a function boundary; "
+                         "MAVR requires --no-relax");
+          }
+        });
+    // Patching a cut-off CALL/JMP would write into the next block.
+    if (truncated) {
+      throw support::DataError(
+          "function block ends inside a 32-bit instruction");
     }
   }
 
@@ -248,7 +221,7 @@ RandomizeResult randomize_image(std::span<const std::uint8_t> image,
                    << 16;
     }
     bool mid = false;
-    const std::uint32_t new_byte = map.map(word_addr * 2, &mid);
+    const std::uint32_t new_byte = map(word_addr * 2, &mid);
     const std::uint32_t new_word = new_byte / 2;
     if (slot.width == 2) {
       MAVR_REQUIRE(new_word <= 0xFFFF,

@@ -59,7 +59,8 @@ std::vector<std::uint32_t> draw_gaps(const toolchain::SymbolBlob& blob,
 /// bytes before the i-th relocated block, gaps[n] after the last; must sum
 /// to the image's reserved padding slack). Throws
 /// support::PreconditionError when the image cannot be randomized safely
-/// (see file comment).
+/// (see file comment), and support::DataError when a block ends inside a
+/// 32-bit instruction (patching it would write into the next block).
 RandomizeResult randomize_image(std::span<const std::uint8_t> image,
                                 const toolchain::SymbolBlob& blob,
                                 const std::vector<std::size_t>& permutation,

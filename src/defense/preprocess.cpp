@@ -1,5 +1,7 @@
 #include "defense/preprocess.hpp"
 
+#include <algorithm>
+
 #include "support/crc.hpp"
 #include "support/error.hpp"
 #include "toolchain/intelhex.hpp"
@@ -52,8 +54,8 @@ Container parse_container(std::span<const std::uint8_t> bytes) {
     throw support::DataError("MAVR container CRC mismatch");
   }
   c.blob = toolchain::SymbolBlob::deserialize(blob_bytes);
-  if (c.blob.text_end > c.image.size()) {
-    throw support::DataError("MAVR container image shorter than text");
+  if (std::max(c.blob.text_end, c.blob.layout_end) > c.image.size()) {
+    throw support::DataError("MAVR container image shorter than its layout");
   }
   return c;
 }

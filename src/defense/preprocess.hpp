@@ -39,7 +39,8 @@ support::Bytes build_container(const toolchain::Image& image);
 std::string preprocess_to_hex(const toolchain::Image& image);
 
 /// Parses container bytes (master side). Throws support::DataError on a
-/// corrupt container.
+/// corrupt container, or one whose text or padded layout ends past the
+/// image (the checks SymbolBlob::deserialize makes come on top).
 Container parse_container(std::span<const std::uint8_t> bytes);
 
 }  // namespace mavr::defense

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "avr/decode.hpp"
-#include "support/bytes.hpp"
+#include "avr/walk.hpp"
 
 namespace mavr::detect {
 
@@ -101,28 +100,23 @@ void Engine::disarm() {
 
 void Engine::rebuild(std::span<const std::uint8_t> image,
                      std::uint32_t text_end) {
-  // Linear disassembly, same discipline as attack::GadgetFinder: AVR's
-  // two-byte alignment means a single sweep from address 0 visits every
-  // instruction — there are no overlapping streams at odd offsets. Every
+  // Linear disassembly from address 0 (avr/walk.hpp): every
   // CALL/RCALL/ICALL/EICALL marks its successor word as a valid RET target.
   const std::uint32_t limit = std::min<std::uint32_t>(
       text_end, static_cast<std::uint32_t>(image.size()));
   cfi_words_ = limit / 2;
   cfi_bits_.assign((cfi_words_ + 63) / 64, 0);
-  std::uint32_t pos = 0;
-  while (pos + 2 <= limit) {
-    const std::uint16_t w1 = support::load_u16_le(image, pos);
-    const std::uint16_t w2 =
-        (pos + 4 <= limit) ? support::load_u16_le(image, pos + 2) : 0;
-    const avr::Instr in = avr::decode(w1, w2);
-    using avr::Op;
-    if (in.op == Op::Call || in.op == Op::Rcall || in.op == Op::Icall ||
-        in.op == Op::Eicall) {
-      const std::uint32_t succ = pos / 2 + in.size_words;
-      if (succ < cfi_words_) cfi_bits_[succ / 64] |= std::uint64_t{1} << (succ % 64);
-    }
-    pos += in.size_words * 2;
-  }
+  avr::for_each_instr(
+      image.first(limit), 0, [&](std::uint32_t pos, const avr::Instr& in) {
+        using avr::Op;
+        if (in.op == Op::Call || in.op == Op::Rcall || in.op == Op::Icall ||
+            in.op == Op::Eicall) {
+          const std::uint32_t succ = pos / 2 + in.size_words;
+          if (succ < cfi_words_) {
+            cfi_bits_[succ / 64] |= std::uint64_t{1} << (succ % 64);
+          }
+        }
+      });
 }
 
 void Engine::reset_dynamic() {

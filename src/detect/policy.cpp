@@ -21,18 +21,13 @@ MaterializedPolicy MaterializedPolicy::materialize(
                "policy/address/size arrays must be parallel");
   MaterializedPolicy out;
   const std::size_t n = policy.functions.size();
-  out.ranges_.reserve(n);
+  out.index_ = toolchain::FunctionIndex(addrs, sizes);
   out.io_.resize(n);
   out.io_unbounded_.resize(n);
   out.ret_words_.resize(n);
   out.ret_unbounded_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const FuncPolicy& fp = policy.functions[i];
-    Range r;
-    r.lo_words = addrs[i] / 2;
-    r.hi_words = (addrs[i] + sizes[i]) / 2;
-    r.index = static_cast<std::uint32_t>(i);
-    out.ranges_.push_back(r);
     out.io_[i] = fp.io_allow;
     out.io_unbounded_[i] = fp.io_unbounded ? 1 : 0;
     out.ret_unbounded_[i] = fp.ret_unbounded ? 1 : 0;
@@ -46,25 +41,7 @@ MaterializedPolicy MaterializedPolicy::materialize(
     std::sort(words.begin(), words.end());
     words.erase(std::unique(words.begin(), words.end()), words.end());
   }
-  std::sort(out.ranges_.begin(), out.ranges_.end(),
-            [](const Range& a, const Range& b) {
-              return a.lo_words < b.lo_words;
-            });
   return out;
-}
-
-int MaterializedPolicy::function_containing(std::uint32_t pc_words) const {
-  // First range starting past pc, then step back — the standard
-  // upper-bound probe over disjoint [lo, hi) ranges.
-  const auto it = std::upper_bound(
-      ranges_.begin(), ranges_.end(), pc_words,
-      [](std::uint32_t pc, const Range& r) { return pc < r.lo_words; });
-  if (it == ranges_.begin()) return -1;
-  const Range& r = *(it - 1);
-  if (pc_words >= r.lo_words && pc_words < r.hi_words) {
-    return static_cast<int>(r.index);
-  }
-  return -1;
 }
 
 bool MaterializedPolicy::io_allowed(int index, std::uint32_t addr) const {

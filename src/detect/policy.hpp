@@ -30,6 +30,8 @@
 #include <span>
 #include <vector>
 
+#include "toolchain/function_index.hpp"
+
 namespace mavr::detect {
 
 /// Data-space extent the I/O-privilege policy covers: register file, I/O
@@ -101,11 +103,13 @@ class MaterializedPolicy {
                                         std::span<const std::uint32_t> addrs,
                                         std::span<const std::uint32_t> sizes);
 
-  bool empty() const { return ranges_.empty(); }
+  bool empty() const { return index_.empty(); }
 
   /// Blob index of the function whose flash range contains `pc_words`,
   /// or -1 when the PC is outside every function (vector table, padding).
-  int function_containing(std::uint32_t pc_words) const;
+  int function_containing(std::uint32_t pc_words) const {
+    return index_.containing(pc_words * 2);
+  }
 
   /// Whether function `index` may store to data-space `addr` (< 0x200).
   /// Unbounded functions allow everything.
@@ -117,13 +121,7 @@ class MaterializedPolicy {
   bool ret_unbounded(int index) const;
 
  private:
-  struct Range {
-    std::uint32_t lo_words = 0;  ///< inclusive
-    std::uint32_t hi_words = 0;  ///< exclusive
-    std::uint32_t index = 0;     ///< blob function index
-  };
-
-  std::vector<Range> ranges_;           ///< sorted by lo_words
+  toolchain::FunctionIndex index_;
   std::vector<IoBitset> io_;            ///< by blob index
   std::vector<std::uint8_t> io_unbounded_;
   std::vector<std::vector<std::uint32_t>> ret_words_;  ///< sorted, unique

@@ -1,9 +1,9 @@
 #include "toolchain/disasm.hpp"
 
 #include <cstdio>
+#include <optional>
 
-#include "avr/decode.hpp"
-#include "support/bytes.hpp"
+#include "avr/walk.hpp"
 
 namespace mavr::toolchain {
 
@@ -114,18 +114,15 @@ std::string format_instr(const Instr& in, std::uint32_t byte_addr) {
 std::vector<DisasmLine> disassemble(std::span<const std::uint8_t> code,
                                     std::uint32_t base) {
   std::vector<DisasmLine> lines;
-  std::size_t pos = 0;
-  while (pos + 2 <= code.size()) {
-    const std::uint16_t w1 = support::load_u16_le(code, pos);
-    const std::uint16_t w2 = (pos + 4 <= code.size())
-                                 ? support::load_u16_le(code, pos + 2)
-                                 : 0;
-    DisasmLine line;
-    line.byte_addr = base + static_cast<std::uint32_t>(pos);
-    line.instr = avr::decode(w1, w2);
-    line.text = format_instr(line.instr, line.byte_addr);
-    lines.push_back(std::move(line));
-    pos += line.instr.size_words * 2;
+  const std::optional<std::uint32_t> truncated = avr::for_each_instr(
+      code, base, [&](std::uint32_t addr, const Instr& in) {
+        lines.push_back({addr, in, format_instr(in, addr)});
+      });
+  if (truncated) {
+    lines.push_back(
+        {*truncated, Instr{},
+         fmt(".word 0x%04x ; truncated",
+             support::load_u16_le(code, *truncated - base))});
   }
   return lines;
 }

@@ -22,7 +22,9 @@ struct DisasmLine {
 /// targets of relative jumps.
 std::string format_instr(const avr::Instr& instr, std::uint32_t byte_addr);
 
-/// Disassembles `code` (flat little-endian bytes starting at `base`).
+/// Disassembles `code` (flat little-endian bytes starting at `base`). A
+/// 32-bit instruction cut off by the end of `code` becomes a last line
+/// ".word 0x940e ; truncated" holding its first word (op Invalid).
 std::vector<DisasmLine> disassemble(std::span<const std::uint8_t> code,
                                     std::uint32_t base = 0);
 

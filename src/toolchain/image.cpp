@@ -40,26 +40,6 @@ const DataSymbol* Image::find_data(std::string_view name) const {
   return nullptr;
 }
 
-const Symbol* Image::function_containing(std::uint32_t byte_addr) const {
-  // symbols are kept ascending by the linker; binary search on addr.
-  const Symbol* best = nullptr;
-  std::size_t lo = 0, hi = symbols.size();
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (symbols[mid].addr <= byte_addr) {
-      best = &symbols[mid];
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (best != nullptr && best->kind == Symbol::Kind::Function &&
-      byte_addr < best->addr + best->size) {
-    return best;
-  }
-  return nullptr;
-}
-
 std::uint16_t Image::word_at(std::uint32_t offset) const {
   return support::load_u16_le(bytes, offset);
 }
@@ -119,16 +99,24 @@ SymbolBlob SymbolBlob::deserialize(std::span<const std::uint8_t> data) {
   if (r.remaining() != std::size_t{n_fns} * 8 + std::size_t{n_slots} * 5) {
     throw support::DataError("symbol blob length mismatch");
   }
+  if (blob.first_movable > blob.text_end) {
+    throw support::DataError("symbol blob first movable past text end");
+  }
   blob.function_addrs.reserve(n_fns);
   blob.function_sizes.reserve(n_fns);
-  std::uint32_t prev = 0;
+  // The randomizer copies and patches each function in place, so every
+  // range must lie inside the text, after the one before it.
+  std::uint64_t prev_end = 0;
   for (std::uint32_t i = 0; i < n_fns; ++i) {
     const std::uint32_t addr = r.u32_le();
     const std::uint32_t size = r.u32_le();
-    if (i > 0 && addr < prev) {
-      throw support::DataError("symbol blob addresses not ascending");
+    if (addr < prev_end) {
+      throw support::DataError("symbol blob functions overlap or descend");
     }
-    prev = addr;
+    prev_end = std::uint64_t{addr} + size;
+    if (prev_end > blob.text_end) {
+      throw support::DataError("symbol blob function ends past text end");
+    }
     blob.function_addrs.push_back(addr);
     blob.function_sizes.push_back(size);
   }

@@ -100,11 +100,6 @@ struct Image {
   /// Looks a RAM global up by name (attacker/tests introspection).
   const DataSymbol* find_data(std::string_view name) const;
 
-  /// The function whose [addr, addr+size) contains `byte_addr`, or nullptr.
-  /// Binary search — the same operation the master processor performs for
-  /// trampoline targets that fall inside a function (paper §VI-B3).
-  const Symbol* function_containing(std::uint32_t byte_addr) const;
-
   /// Word (little-endian) at image byte offset.
   std::uint16_t word_at(std::uint32_t offset) const;
   void set_word_at(std::uint32_t offset, std::uint16_t value);
@@ -127,7 +122,9 @@ struct SymbolBlob {
   /// Serializes to the on-flash wire format (little-endian, CRC-protected).
   support::Bytes serialize() const;
 
-  /// Parses the wire format; throws support::DataError on corruption.
+  /// Parses the wire format; throws support::DataError on corruption,
+  /// including functions that overlap, descend or end past text_end, and
+  /// a first_movable past text_end.
   static SymbolBlob deserialize(std::span<const std::uint8_t> data);
 
   /// Extracts the blob contents from a linked image.

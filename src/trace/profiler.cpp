@@ -4,39 +4,31 @@
 #include <cstdio>
 #include <sstream>
 
-#include "support/error.hpp"
-
 namespace mavr::trace {
 
 Profiler::Profiler(const toolchain::Image& image) {
+  std::vector<std::uint32_t> addrs;
+  std::vector<std::uint32_t> sizes;
   for (const toolchain::Symbol& fn : image.functions()) {
     if (fn.size == 0) continue;
-    ranges_.push_back(Range{.begin = fn.addr, .end = fn.addr + fn.size});
     stats_.push_back(FunctionStats{
         .name = fn.name, .byte_addr = fn.addr, .size = fn.size});
+    addrs.push_back(fn.addr);
+    sizes.push_back(fn.size);
   }
-  // Image::functions() returns ascending addresses; keep the invariant
-  // explicit for the binary search below.
-  MAVR_CHECK(std::is_sorted(ranges_.begin(), ranges_.end(),
-                            [](const Range& a, const Range& b) {
-                              return a.begin < b.begin;
-                            }),
-             "function symbols not sorted by address");
+  index_ = toolchain::FunctionIndex(addrs, sizes);
 }
 
 int Profiler::index_of(std::uint32_t byte_addr) const {
   if (last_index_ >= 0) {
-    const Range& r = ranges_[static_cast<std::size_t>(last_index_)];
-    if (byte_addr >= r.begin && byte_addr < r.end) return last_index_;
+    const FunctionStats& s = stats_[static_cast<std::size_t>(last_index_)];
+    if (byte_addr >= s.byte_addr && byte_addr - s.byte_addr < s.size) {
+      return last_index_;
+    }
   }
-  auto it = std::upper_bound(
-      ranges_.begin(), ranges_.end(), byte_addr,
-      [](std::uint32_t addr, const Range& r) { return addr < r.begin; });
-  if (it == ranges_.begin()) return -1;
-  --it;
-  if (byte_addr >= it->end) return -1;
-  last_index_ = static_cast<int>(it - ranges_.begin());
-  return last_index_;
+  const int idx = index_.containing(byte_addr);
+  if (idx >= 0) last_index_ = idx;
+  return idx;
 }
 
 void Profiler::on_retire(const avr::Cpu& /*cpu*/, std::uint32_t pc_words,

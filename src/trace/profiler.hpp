@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "avr/cpu.hpp"
+#include "toolchain/function_index.hpp"
 #include "toolchain/image.hpp"
 
 namespace mavr::trace {
@@ -55,13 +56,8 @@ class Profiler : public avr::Tracer {
   /// Index into stats_ for the function containing `byte_addr`, or -1.
   int index_of(std::uint32_t byte_addr) const;
 
-  struct Range {
-    std::uint32_t begin = 0;  ///< flash byte address, inclusive
-    std::uint32_t end = 0;    ///< exclusive
-  };
-
-  std::vector<Range> ranges_;  ///< ascending, parallel to stats_
   std::vector<FunctionStats> stats_;
+  toolchain::FunctionIndex index_;  ///< over stats_
   mutable int last_index_ = -1;  ///< cache: consecutive pcs share a function
   std::uint64_t unattributed_cycles_ = 0;
   std::uint64_t total_cycles_ = 0;

@@ -222,8 +222,8 @@ TEST(AnalysisPolicy, FuncRecordSerializationRoundTrips) {
   // The cache stores FuncRecords serialized; a decode of every function in
   // the image must survive the round trip bit for bit (the property the
   // memoized deserialization path depends on).
-  const analysis::FuncIndex index(blob().function_addrs,
-                                  blob().function_sizes);
+  const toolchain::FunctionIndex index(blob().function_addrs,
+                                       blob().function_sizes);
   for (std::size_t i = 0; i < blob().function_addrs.size(); ++i) {
     const std::uint32_t addr = blob().function_addrs[i];
     const std::uint32_t size = blob().function_sizes[i];

@@ -4,7 +4,14 @@
 // linker → simulator → patcher pipeline coherent.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "avr/decode.hpp"
+#include "avr/walk.hpp"
+#include "support/bytes.hpp"
 #include "toolchain/encode.hpp"
 
 namespace mavr {
@@ -268,6 +275,50 @@ TEST(Decode, TwoWordDetection) {
   EXPECT_FALSE(avr::is_two_word(enc_push(3)));
   EXPECT_FALSE(avr::is_two_word(enc_rel_jump(Op::Rjmp, 1)));
   EXPECT_FALSE(avr::is_two_word(0x0000));  // nop
+}
+
+TEST(Walk, InstrWordsAgreesWithTheDecoderOnEveryFirstWord) {
+  for (std::uint32_t w = 0; w <= 0xFFFF; ++w) {
+    const auto first = static_cast<std::uint16_t>(w);
+    ASSERT_EQ(avr::instr_words(first, 2), decode(first, 0).size_words) << w;
+    ASSERT_EQ(avr::instr_words(first, 1), avr::is_two_word(first) ? 0u : 1u)
+        << w;
+  }
+}
+
+TEST(Walk, TruncatedTailIsReportedAndNeverDecoded) {
+  // nop ; lds r0, 0x100 ; the first word of a call, cut off by the end.
+  const auto lds = enc_lds(0, 0x100);
+  support::Bytes code;
+  support::ByteWriter w(code);
+  for (std::uint16_t word : {enc_no_operand(Op::Nop), lds.first, lds.second,
+                             enc_abs_jump(Op::Call, 0x82).first}) {
+    w.u16_le(word);
+  }
+  std::vector<std::pair<std::uint32_t, Op>> seen;
+  const auto record = [&](std::uint32_t addr, const Instr& in) {
+    seen.push_back({addr, in.op});
+  };
+  EXPECT_EQ(avr::for_each_instr(code, 0x200, record), 0x206u);
+  EXPECT_EQ(seen, (std::vector<std::pair<std::uint32_t, Op>>{
+                      {0x200, Op::Nop}, {0x202, Op::Lds}}));
+
+  // Ending before the call, or on an odd byte, truncates nothing.
+  const std::span<const std::uint8_t> bytes(code);
+  EXPECT_EQ(avr::for_each_instr(bytes.first(6), 0, record), std::nullopt);
+  EXPECT_EQ(avr::for_each_instr(bytes.first(7), 0, record), std::nullopt);
+  // An lds cut after its first word is truncated like a call.
+  EXPECT_EQ(avr::for_each_instr(bytes.first(4), 0, record), 2u);
+
+  // fn returning false stops the walk; nothing is reported truncated.
+  int calls = 0;
+  EXPECT_EQ(avr::for_each_instr(code, 0,
+                                [&](std::uint32_t, const Instr&) {
+                                  ++calls;
+                                  return false;
+                                }),
+            std::nullopt);
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(Decode, ReservedEncodingsAreInvalid) {

@@ -14,6 +14,7 @@
 #include "mavlink/mavlink.hpp"
 #include "sim/board.hpp"
 #include "sim/ground.hpp"
+#include "support/crc.hpp"
 
 namespace mavr {
 namespace {
@@ -130,6 +131,26 @@ TEST(Randomizer, IdentityPermutationIsByteIdentical) {
   EXPECT_EQ(result.image, image.bytes);
 }
 
+TEST(Randomizer, RejectsABlockEndingInsideA32BitInstruction) {
+  // The last word of movable block 0 becomes a CALL's first word. Patched
+  // as a CALL with a zero second word, it would write its retargeted
+  // second word over the first word of the next block.
+  const toolchain::Image& image = testfw().image;
+  const SymbolBlob blob = SymbolBlob::from_image(image);
+  std::size_t first = 0;
+  while (blob.function_addrs[first] < blob.first_movable) ++first;
+  const std::uint32_t last_word =
+      blob.function_addrs[first] + blob.function_sizes[first] - 2;
+  std::vector<std::size_t> identity(defense::movable_count(blob));
+  for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
+
+  support::Bytes bytes = image.bytes;
+  support::store_u16_le(bytes, last_word, 0x0000);  // control: a nop
+  EXPECT_NO_THROW(randomize_image(bytes, blob, identity));
+  support::store_u16_le(bytes, last_word, 0x940E);
+  EXPECT_THROW(randomize_image(bytes, blob, identity), support::DataError);
+}
+
 TEST(Randomizer, DistinctSeedsGiveDistinctLayouts) {
   const toolchain::Image& image = testfw().image;
   const SymbolBlob blob = SymbolBlob::from_image(image);
@@ -207,6 +228,45 @@ TEST(Preprocess, CorruptContainerRejected) {
   support::Bytes bytes = defense::build_container(image);
   bytes[10] ^= 0xFF;  // corrupt inside the blob
   EXPECT_THROW(defense::parse_container(bytes), support::DataError);
+}
+
+TEST(Preprocess, RejectsCrcValidContainersThatReachPastTheImage) {
+  // Each case changes one blob field and recomputes both CRCs, so only the
+  // layout checks stand between the container and the randomizer.
+  const toolchain::Image& image = testfw().image;
+  const auto container_with = [&](const SymbolBlob& blob) {
+    const support::Bytes blob_bytes = blob.serialize();
+    support::Crc32 crc;
+    crc.update(blob_bytes);
+    crc.update(image.bytes);
+    support::Bytes out;
+    support::ByteWriter w(out);
+    w.u32_le(0x4D565243);  // "MVRC"
+    w.u32_le(static_cast<std::uint32_t>(blob_bytes.size()));
+    w.u32_le(static_cast<std::uint32_t>(image.bytes.size()));
+    w.u32_le(crc.value());
+    w.bytes(blob_bytes);
+    w.bytes(image.bytes);
+    return out;
+  };
+  const SymbolBlob good = SymbolBlob::from_image(image);
+  EXPECT_EQ(container_with(good), defense::build_container(image));
+  EXPECT_NO_THROW(defense::parse_container(container_with(good)));
+
+  SymbolBlob layout = good;  // padded layout past the image end
+  layout.layout_end = good.text_end + 4096;
+  SymbolBlob movable = good;  // movable region starting past the text
+  movable.first_movable = good.text_end + 4096;
+  SymbolBlob size = good;  // last function running past the text
+  size.function_sizes.back() = 0x100000;
+  SymbolBlob wrap = good;  // ... or wrapping the address space
+  wrap.function_sizes.back() = 0xFFFFFFFFu;
+  SymbolBlob overlap = good;  // two functions sharing bytes
+  overlap.function_sizes[1] += 2;
+  for (const SymbolBlob* bad : {&layout, &movable, &size, &wrap, &overlap}) {
+    EXPECT_THROW(defense::parse_container(container_with(*bad)),
+                 support::DataError);
+  }
 }
 
 }  // namespace

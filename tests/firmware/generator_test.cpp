@@ -9,6 +9,7 @@
 #include "mavlink/mavlink.hpp"
 #include "sim/board.hpp"
 #include "sim/ground.hpp"
+#include "toolchain/function_index.hpp"
 
 namespace mavr {
 namespace {
@@ -132,6 +133,9 @@ TEST(Generator, TaskTableContainsMidFunctionEntries) {
                                          ToolchainOptions::mavr());
   // At least one task-table pointer must target a mid-function address —
   // the case that forces the patcher's binary search (paper §VI-B3).
+  const auto blob = toolchain::SymbolBlob::from_image(fw.image);
+  const toolchain::FunctionIndex index(blob.function_addrs,
+                                       blob.function_sizes);
   bool mid_found = false;
   for (const toolchain::PointerSlot& slot : fw.image.pointer_slots) {
     const std::uint32_t lo =
@@ -142,9 +146,9 @@ TEST(Generator, TaskTableContainsMidFunctionEntries) {
                          fw.image.bytes[slot.image_offset + 2])
                      << 16)
                   : 0);
-    const toolchain::Symbol* fn = fw.image.function_containing(word * 2);
-    ASSERT_NE(fn, nullptr);
-    if (word * 2 != fn->addr) mid_found = true;
+    std::uint32_t offset = 0;
+    ASSERT_GE(index.containing(word * 2, &offset), 0);
+    if (offset != 0) mid_found = true;
   }
   EXPECT_TRUE(mid_found);
 }

@@ -5,6 +5,8 @@
 #include "avr/decode.hpp"
 #include "toolchain/assembler.hpp"
 #include "toolchain/disasm.hpp"
+#include "toolchain/encode.hpp"
+#include "toolchain/function_index.hpp"
 #include "toolchain/image.hpp"
 #include "toolchain/linker.hpp"
 
@@ -31,17 +33,52 @@ Image sample_image() {
   return link(std::move(in));
 }
 
-TEST(Image, FunctionContainingBinarySearch) {
+TEST(FunctionIndex, ContainingBinarySearch) {
   const Image image = sample_image();
+  const std::vector<Symbol> fns = image.functions();
+  const SymbolBlob blob = SymbolBlob::from_image(image);
+  const FunctionIndex index(blob.function_addrs, blob.function_sizes);
+  const auto name_at = [&](std::uint32_t addr) -> std::string {
+    const int i = index.containing(addr);
+    return i < 0 ? "<none>" : fns[static_cast<std::size_t>(i)].name;
+  };
   const Symbol* alpha = image.find("alpha");
   ASSERT_NE(alpha, nullptr);
-  EXPECT_EQ(image.function_containing(alpha->addr), alpha);
-  EXPECT_EQ(image.function_containing(alpha->addr + 2)->name, "alpha");
-  EXPECT_EQ(image.function_containing(alpha->addr + alpha->size)->name,
-            "beta");
+  EXPECT_EQ(name_at(alpha->addr), "alpha");
+  std::uint32_t offset = 99;
+  index.containing(alpha->addr + 2, &offset);
+  EXPECT_EQ(offset, 2u);
+  EXPECT_EQ(name_at(alpha->addr + 2), "alpha");
+  EXPECT_EQ(name_at(alpha->addr + alpha->size), "beta");
   // Address 0 is inside the vector table (an Object, not a function).
-  EXPECT_EQ(image.function_containing(0), nullptr);
-  EXPECT_EQ(image.function_containing(image.text_end + 1), nullptr);
+  EXPECT_EQ(name_at(0), "<none>");
+  EXPECT_EQ(name_at(image.text_end + 1), "<none>");
+}
+
+TEST(FunctionIndex, BlobIndicesSurviveAnUnsortedLayout) {
+  // A randomized layout keeps blob order while the blocks move: indices
+  // name positions in the arrays given, not address ranks.
+  const std::vector<std::uint32_t> addrs = {0x300, 0x100, 0x200};
+  const std::vector<std::uint32_t> sizes = {0x40, 0x100, 0x10};
+  const FunctionIndex index(addrs, sizes);
+  std::uint32_t offset = 0;
+  EXPECT_EQ(index.containing(0x1FE, &offset), 1);
+  EXPECT_EQ(offset, 0xFEu);
+  EXPECT_EQ(index.containing(0x200, &offset), 2);
+  EXPECT_EQ(offset, 0u);
+  EXPECT_EQ(index.containing(0x210), -1);  // the gap before 0x300
+  EXPECT_EQ(index.containing(0x33E, &offset), 0);
+  EXPECT_EQ(offset, 0x3Eu);
+  EXPECT_EQ(index.containing(0x340), -1);
+  EXPECT_EQ(index.containing(0xFF), -1);
+  ASSERT_EQ(index.entries().size(), 3u);
+  EXPECT_EQ(index.entries()[0].index, 1u);  // ascending by start
+  // An empty range never shadows the function sharing its start.
+  const FunctionIndex with_empty(std::vector<std::uint32_t>{0x100, 0x100},
+                                 std::vector<std::uint32_t>{0x20, 0});
+  EXPECT_EQ(with_empty.containing(0x110), 0);
+  EXPECT_THROW(FunctionIndex(addrs, std::vector<std::uint32_t>{1}),
+               support::PreconditionError);
 }
 
 TEST(Image, WordAccessors) {
@@ -109,6 +146,39 @@ TEST(Disasm, PaperStyleOperands) {
   EXPECT_EQ(format_instr(avr::decode(enc_std(true, 1, 5), 0), 0),
             "std Y+1, r5");
   EXPECT_EQ(format_instr(avr::decode(enc_pop(29), 0), 0), "pop r29");
+  EXPECT_EQ(format_instr(avr::decode(enc_imm(avr::Op::Ldi, 24, 0xAB), 0), 0),
+            "ldi r24, 0xAB");
+  EXPECT_EQ(format_instr(avr::decode(enc_one_reg(avr::Op::Com, 24), 0), 0),
+            "com r24");
+  EXPECT_EQ(format_instr(avr::decode(enc_one_reg(avr::Op::Swap, 24), 0), 0),
+            "swap r24");
+  EXPECT_EQ(format_instr(avr::decode(enc_push(24), 0), 0), "push r24");
+  EXPECT_EQ(format_instr(avr::decode(enc_adiw(avr::Op::Adiw, 28, 12), 0), 0),
+            "adiw r28, 12");
+  EXPECT_EQ(format_instr(avr::decode(enc_in(20, 0x3d), 0), 0),
+            "in r20, 0x3d");
+  EXPECT_EQ(format_instr(avr::decode(enc_no_operand(avr::Op::Nop), 0), 0),
+            "nop");
+  EXPECT_EQ(format_instr(avr::decode(enc_no_operand(avr::Op::Ret), 0), 0),
+            "ret");
+}
+
+TEST(Disasm, TruncatedTailIsAWordNotAnInstruction) {
+  // A CALL whose second word lies past the region. Decoding it with a
+  // zero second word would print "call 0x0".
+  const auto [call_lo, call_hi] = enc_abs_jump(avr::Op::Call, 0x82);
+  support::Bytes code;
+  support::ByteWriter w(code);
+  w.u16_le(enc_no_operand(avr::Op::Nop));
+  w.u16_le(call_lo);
+  const auto lines = disassemble(code, 0x100);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].text, "nop");
+  EXPECT_EQ(lines[1].byte_addr, 0x102u);
+  EXPECT_EQ(lines[1].text, ".word 0x940e ; truncated");
+  // With its second word present it is an ordinary call.
+  w.u16_le(call_hi);
+  EXPECT_EQ(disassemble(code, 0x100).back().text, "call 0x104");
 }
 
 TEST(Assembler, FixedOffsetOfRequiresFixedPrefix) {

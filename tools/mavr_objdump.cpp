@@ -16,8 +16,10 @@
 #include "analysis/cfg.hpp"
 #include "attack/gadgets.hpp"
 #include "defense/preprocess.hpp"
+#include "support/error.hpp"
 #include "support/parse.hpp"
 #include "toolchain/disasm.hpp"
+#include "toolchain/function_index.hpp"
 #include "toolchain/intelhex.hpp"
 
 namespace {
@@ -50,7 +52,7 @@ struct Dump {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mavr;
   if (argc < 2) return usage();
 
@@ -78,6 +80,21 @@ int main(int argc, char** argv) {
   const toolchain::HexImage hex = toolchain::intel_hex_decode(read_file(argv[1]));
   const defense::Container container = defense::parse_container(hex.data);
   const toolchain::SymbolBlob& blob = container.blob;
+  const toolchain::FunctionIndex index(blob.function_addrs,
+                                       blob.function_sizes);
+  const auto body = [&](std::size_t k) {
+    return std::span<const std::uint8_t>(container.image)
+        .subspan(blob.function_addrs[k], blob.function_sizes[k]);
+  };
+  // The CFG text is stable (offsets only change when the code does), so
+  // the golden-file tests diff it directly.
+  const auto print_cfg = [&](std::size_t k) {
+    std::printf("func %zu @0x%X size=%u\n%s", k, blob.function_addrs[k],
+                blob.function_sizes[k],
+                analysis::format_cfg(analysis::build_region_cfg(
+                                         body(k), blob.function_addrs[k]))
+                    .c_str());
+  };
 
   for (const Dump& dump : dumps) {
     if (dump.flag == "--headers") {
@@ -110,47 +127,26 @@ int main(int argc, char** argv) {
                     finder.write_mems()[0].store_entry_byte_addr,
                     finder.write_mems()[0].pop_entry_byte_addr);
       }
-    } else if (dump.flag == "--cfg") {
-      // An optional hex byte address narrows the dump to one function; the
-      // text is stable (offsets only change when the code does), so the
-      // golden-file tests diff it directly.
-      bool found = false;
+    } else if (dump.flag == "--cfg" && !dump.addr) {
       for (std::size_t k = 0; k < blob.function_addrs.size(); ++k) {
-        const std::uint32_t start = blob.function_addrs[k];
-        const std::uint32_t size = blob.function_sizes[k];
-        if (dump.addr && (*dump.addr < start || *dump.addr >= start + size)) {
-          continue;
-        }
-        found = true;
-        const analysis::RegionCfg cfg = analysis::build_region_cfg(
-            std::span(container.image).subspan(start, size), start);
-        std::printf("func %zu @0x%X size=%u\n%s", k, start, size,
-                    analysis::format_cfg(cfg).c_str());
+        print_cfg(k);
       }
-      if (dump.addr && !found) {
+    } else {
+      // --disasm, or --cfg narrowed to one function: the one holding the
+      // address.
+      const int found = index.containing(*dump.addr);
+      if (found < 0) {
         std::fprintf(stderr, "0x%X is not inside a function\n", *dump.addr);
         return 1;
       }
-    } else {  // --disasm
-      const std::uint32_t addr = *dump.addr;
-      // Find the containing function via the blob.
-      std::size_t idx = blob.function_addrs.size();
-      for (std::size_t k = 0; k < blob.function_addrs.size(); ++k) {
-        if (blob.function_addrs[k] <= addr &&
-            addr < blob.function_addrs[k] + blob.function_sizes[k]) {
-          idx = k;
-          break;
-        }
+      const auto k = static_cast<std::size_t>(found);
+      if (dump.flag == "--cfg") {
+        print_cfg(k);
+      } else {
+        const auto lines =
+            toolchain::disassemble(body(k), blob.function_addrs[k]);
+        std::printf("%s", toolchain::format_listing(lines).c_str());
       }
-      if (idx == blob.function_addrs.size()) {
-        std::fprintf(stderr, "0x%X is not inside a function\n", addr);
-        return 1;
-      }
-      const auto lines = toolchain::disassemble(
-          std::span(container.image)
-              .subspan(blob.function_addrs[idx], blob.function_sizes[idx]),
-          blob.function_addrs[idx]);
-      std::printf("%s", toolchain::format_listing(lines).c_str());
     }
   }
   if (dumps.empty()) {
@@ -159,4 +155,7 @@ int main(int argc, char** argv) {
                 container.image.size(), blob.function_addrs.size());
   }
   return 0;
+} catch (const mavr::support::Error& e) {
+  std::fprintf(stderr, "%s: %s\n", argv[1], e.what());
+  return 1;
 }

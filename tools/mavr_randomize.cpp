@@ -13,6 +13,7 @@
 
 #include "defense/patcher.hpp"
 #include "defense/preprocess.hpp"
+#include "support/error.hpp"
 #include "support/parse.hpp"
 #include "toolchain/intelhex.hpp"
 
@@ -27,7 +28,7 @@ int usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mavr;
   if (argc < 3) return usage();
   std::uint64_t seed = 1;
@@ -78,4 +79,7 @@ int main(int argc, char** argv) {
     std::printf("  patched pointer slots: %u\n", result.patched_pointers);
   }
   return 0;
+} catch (const mavr::support::Error& e) {
+  std::fprintf(stderr, "%s: %s\n", argv[1], e.what());
+  return 1;
 }

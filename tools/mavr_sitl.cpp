@@ -19,6 +19,7 @@
 #include "sim/board.hpp"
 #include "sim/flight.hpp"
 #include "sim/ground.hpp"
+#include "support/error.hpp"
 #include "support/parse.hpp"
 #include "toolchain/intelhex.hpp"
 
@@ -32,7 +33,7 @@ int usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mavr;
   if (argc < 2) return usage();
   int seconds = 6;
@@ -108,4 +109,7 @@ int main(int argc, char** argv) {
                 master->randomizations());
   }
   return 0;
+} catch (const mavr::support::Error& e) {
+  std::fprintf(stderr, "%s: %s\n", argv[1], e.what());
+  return 1;
 }
