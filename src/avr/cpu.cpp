@@ -636,6 +636,39 @@ void Cpu::power_on() {
   reset();
 }
 
+Cpu::Snapshot Cpu::save() const {
+  return Snapshot{
+      .pc = pc_,
+      .cycles = cycles_,
+      .retired = retired_,
+      .interrupts_taken = interrupts_taken_,
+      .state = state_,
+      .fault = fault_,
+      .last_ret_raw_words = last_ret_raw_words_,
+      .last_ret_wrapped = last_ret_wrapped_,
+      .data = support::Bytes(ram_, ram_ + data_size_),
+      .eeprom = eeprom_,
+      .io = io_.state(),
+  };
+}
+
+void Cpu::restore(const Snapshot& snapshot) {
+  MAVR_REQUIRE(snapshot.data.size() == data_size_ &&
+                   snapshot.eeprom.size() == eeprom_.size(),
+               "snapshot of a different part");
+  pc_ = snapshot.pc;
+  cycles_ = snapshot.cycles;
+  retired_ = snapshot.retired;
+  interrupts_taken_ = snapshot.interrupts_taken;
+  state_ = snapshot.state;
+  fault_ = snapshot.fault;
+  last_ret_raw_words_ = snapshot.last_ret_raw_words;
+  last_ret_wrapped_ = snapshot.last_ret_wrapped;
+  std::copy(snapshot.data.begin(), snapshot.data.end(), ram_);
+  eeprom_ = snapshot.eeprom;
+  io_.restore(snapshot.io);
+}
+
 void Cpu::reset() {
   data_.clear();
   io_.restore_latches();

@@ -43,6 +43,7 @@ struct FaultInfo {
   /// stack is indistinguishable from a legitimate in-range return.
   std::uint32_t last_ret_raw_words = 0;
   bool last_ret_wrapped = false;  ///< raw target had bits above pc_mask_
+  bool operator==(const FaultInfo&) const = default;
 };
 
 class Cpu;
@@ -132,6 +133,30 @@ class Cpu {
   /// every cached decode and translation; neither cache is rewound.
   void power_on();
 
+  /// Everything running changes in the core, by value: PC, counters, run
+  /// state, fault record, last-RET forensics, the data space (registers,
+  /// SP and SREG included), the EEPROM and the bus state. Flash, the
+  /// caches, the tracer and the tier switch are not in it.
+  struct Snapshot {
+    std::uint32_t pc;
+    std::uint64_t cycles;
+    std::uint64_t retired;
+    std::uint64_t interrupts_taken;
+    CpuState state;
+    FaultInfo fault;
+    std::uint32_t last_ret_raw_words;
+    bool last_ret_wrapped;
+    support::Bytes data;
+    Eeprom eeprom;
+    IoBus::State io;
+  };
+  Snapshot save() const;
+  /// Puts a snapshot of this core back. The owner restores its devices
+  /// first: the bus re-reads their deadlines. Flash, the caches and their
+  /// generation counters are left alone, so the snapshot must come from a
+  /// core running the same flash.
+  void restore(const Snapshot& snapshot);
+
   CpuState state() const { return state_; }
   const FaultInfo& fault() const { return fault_; }
 
@@ -182,7 +207,9 @@ class Cpu {
   DataMemory& data() { return data_; }
   const DataMemory& data() const { return data_; }
   Eeprom& eeprom() { return eeprom_; }
+  const Eeprom& eeprom() const { return eeprom_; }
   IoBus& io() { return io_; }
+  const IoBus& io() const { return io_; }
 
   /// Interrupt-line query: must return true when an interrupt is pending
   /// and clear it (hardware ack). A plain function pointer + context pair

@@ -16,12 +16,12 @@ OutputPort::OutputPort(IoBus& bus, std::uint16_t addr, bool record_history)
 }
 
 void OutputPort::write(std::uint8_t v) {
-  value_ = v;
+  state_.value = v;
   bus_.poke(addr_, v);
-  last_write_cycle_ = bus_.now();
-  ++write_count_;
+  state_.last_write_cycle = bus_.now();
+  ++state_.write_count;
   if (record_history_) {
-    history_.push_back(Write{.cycle = bus_.now(), .value = v});
+    state_.history.push_back(Write{.cycle = bus_.now(), .value = v});
   }
 }
 

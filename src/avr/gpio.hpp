@@ -24,38 +24,41 @@ class OutputPort {
     bool operator==(const Write&) const = default;
   };
 
+  /// What firmware writes change. The default value is the power-on
+  /// state: never written, empty history.
+  struct State {
+    std::uint8_t value = 0;
+    std::uint64_t last_write_cycle = 0;  ///< 0 when never written
+    std::uint64_t write_count = 0;
+    std::vector<Write> history;  ///< every write, when recording
+  };
+
   /// Registers the port at data-space address `addr`. When `record_history`
   /// is set every write is kept (trace comparison); otherwise only the last
   /// write survives (cheap watchdog feed line).
   OutputPort(IoBus& bus, std::uint16_t addr, bool record_history);
 
-  std::uint8_t value() const { return value_; }
+  std::uint8_t value() const { return state_.value; }
 
   /// Cycle of the most recent firmware write (0 when never written).
-  std::uint64_t last_write_cycle() const { return last_write_cycle_; }
+  std::uint64_t last_write_cycle() const { return state_.last_write_cycle; }
 
-  std::uint64_t write_count() const { return write_count_; }
+  std::uint64_t write_count() const { return state_.write_count; }
 
-  const std::vector<Write>& history() const { return history_; }
+  const std::vector<Write>& history() const { return state_.history; }
 
-  /// Power-on: never written, empty history.
-  void power_on() {
-    value_ = 0;
-    last_write_cycle_ = 0;
-    write_count_ = 0;
-    history_.clear();
-  }
+  const State& state() const { return state_; }
+  void restore(const State& state) { state_ = state; }
+
+  void power_on() { restore(State{}); }
 
  private:
   void write(std::uint8_t v);  ///< dispatched firmware-store handler
 
   IoBus& bus_;  ///< write timestamps come from the bus clock
   std::uint16_t addr_;
-  std::uint8_t value_ = 0;
-  std::uint64_t last_write_cycle_ = 0;
-  std::uint64_t write_count_ = 0;
   bool record_history_;
-  std::vector<Write> history_;
+  State state_;
 };
 
 /// Input-port device whose value the simulation harness sets and the

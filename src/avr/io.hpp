@@ -58,11 +58,21 @@ class IoBus {
   static constexpr std::uint8_t kHandlesRead = 0x01;
   static constexpr std::uint8_t kHandlesWrite = 0x02;
 
+  /// What running changes on the bus: the clock, the interrupt hint and
+  /// the latched registers' shadow. The default value is the power-on
+  /// state (every modelled device latches zero at registration). The tick
+  /// deadline is not in it: it is re-read from the devices.
+  struct State {
+    std::uint64_t now = 0;
+    bool irq_hint = true;
+    std::vector<std::uint8_t> latch_shadow =
+        std::vector<std::uint8_t>(kExtIoEnd, 0);
+  };
+
   IoBus()
       : reads_(kExtIoEnd),
         writes_(kExtIoEnd),
         dispatch_(kExtIoEnd, 0),
-        latch_shadow_(kExtIoEnd, 0),
         latched_(kExtIoEnd, 0) {}
 
   /// Registers a read handler for data-space address `addr`. The address
@@ -115,7 +125,7 @@ class IoBus {
   /// Device-side write of a latched register.
   void poke(std::uint16_t addr, std::uint8_t value) {
     backing_[addr] = value;
-    latch_shadow_[addr] = value;
+    state_.latch_shadow[addr] = value;
   }
 
   /// Device-side read-back of a latched register.
@@ -125,20 +135,22 @@ class IoBus {
   /// the CPU at the tail of reset().
   void restore_latches() {
     for (const std::uint16_t addr : latch_addrs_) {
-      backing_[addr] = latch_shadow_[addr];
+      backing_[addr] = state_.latch_shadow[addr];
     }
   }
 
-  /// Power-on: clock at zero, interrupt hint up, latched registers back to
-  /// zero (the value every modelled device latches at registration), and
-  /// the deadline re-read from the devices, which must already be in their
-  /// own power-on state. Registrations are kept.
-  void power_on() {
-    now_ = 0;
-    irq_hint_ = true;
-    std::fill(latch_shadow_.begin(), latch_shadow_.end(), 0);
+  const State& state() const { return state_; }
+
+  /// Puts `state` back and re-reads the deadline from the devices, which
+  /// must already hold the state that goes with it. Registrations are
+  /// kept.
+  void restore(const State& state) {
+    state_ = state;
     refresh_deadline();
   }
+
+  /// Power-on: restore(State{}), after the devices' own power_on().
+  void power_on() { restore(State{}); }
 
   /// Registers a device for time advancement.
   void add_tickable(Tickable* device) {
@@ -184,19 +196,19 @@ class IoBus {
   /// stretches cost one byte test per instruction instead of an indirect
   /// call. step()/run() entry re-raises the hint, so pending state flipped
   /// from outside the simulation loop is still noticed.
-  void raise_irq() { irq_hint_ = true; }
-  bool irq_hint() const { return irq_hint_; }
-  void clear_irq_hint() { irq_hint_ = false; }
+  void raise_irq() { state_.irq_hint = true; }
+  bool irq_hint() const { return state_.irq_hint; }
+  void clear_irq_hint() { state_.irq_hint = false; }
 
   // --- Simulated clock -------------------------------------------------------
   /// Publishes the CPU cycle counter after a retired instruction. Devices
   /// observe this value through now(); it deliberately excludes the cycles
   /// of an in-flight interrupt dispatch, matching the timing the old
   /// per-instruction tick() broadcast exposed.
-  void set_now(std::uint64_t now_cycles) { now_ = now_cycles; }
+  void set_now(std::uint64_t now_cycles) { state_.now = now_cycles; }
 
   /// Current simulated time as seen by devices.
-  std::uint64_t now() const { return now_; }
+  std::uint64_t now() const { return state_.now; }
 
   // --- Event-driven ticking --------------------------------------------------
   /// Earliest deadline across registered devices; the CPU compares one
@@ -209,7 +221,7 @@ class IoBus {
   /// next_deadline(), and usable directly as the legacy "advance all
   /// devices" entry point.
   void tick(std::uint64_t now_cycles) {
-    now_ = now_cycles;
+    state_.now = now_cycles;
     for (Tickable* device : tickables_) device->tick(now_cycles);
     refresh_deadline();
   }
@@ -233,15 +245,13 @@ class IoBus {
   std::vector<Handler<ReadFn>> reads_;
   std::vector<Handler<WriteFn>> writes_;
   std::vector<std::uint8_t> dispatch_;
-  std::vector<std::uint8_t> latch_shadow_;
   std::vector<std::uint8_t> latched_;
   std::vector<std::uint16_t> latch_addrs_;
   std::uint8_t* backing_ = nullptr;
   std::uint64_t handler_gen_ = 0;
   std::vector<Tickable*> tickables_;
-  std::uint64_t now_ = 0;
   std::uint64_t deadline_ = kNoDeadline;
-  bool irq_hint_ = true;
+  State state_;
 };
 
 }  // namespace mavr::avr

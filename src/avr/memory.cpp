@@ -5,7 +5,7 @@
 namespace mavr::avr {
 
 void ProgramMemory::erase() {
-  std::fill(words_.begin(), words_.end(), std::uint16_t{0xFFFF});
+  std::fill_n(words_.data(), words_.size(), std::uint16_t{0xFFFF});
   ++generation_;
 }
 

@@ -16,17 +16,23 @@
 #include "avr/mcu.hpp"
 #include "support/bytes.hpp"
 #include "support/error.hpp"
+#include "support/zero_pages.hpp"
 
 namespace mavr::avr {
 
-/// Word-addressed program flash.
+/// Word-addressed program flash. The words sit on their own mapping
+/// rather than on the heap, so a worker thread's board hands its flash
+/// back to the system when the thread exits instead of leaving it resident
+/// in that thread's malloc arena.
 class ProgramMemory {
  public:
   explicit ProgramMemory(const McuSpec& spec)
-      : words_(spec.flash_words(), 0xFFFF),
+      : words_(spec.flash_words()),
         word_mask_(std::has_single_bit(spec.flash_words())
                        ? spec.flash_words() - 1
-                       : 0) {}
+                       : 0) {
+    std::fill_n(words_.data(), words_.size(), std::uint16_t{0xFFFF});
+  }
 
   std::uint32_t size_words() const {
     return static_cast<std::uint32_t>(words_.size());
@@ -78,7 +84,7 @@ class ProgramMemory {
                : (word_addr % static_cast<std::uint32_t>(words_.size()));
   }
 
-  std::vector<std::uint16_t> words_;
+  support::ZeroPages<std::uint16_t> words_;
   std::uint32_t word_mask_;
   std::uint64_t generation_ = 0;
 };

@@ -19,10 +19,19 @@ namespace mavr::avr {
 
 class Timer : public Tickable {
  public:
+  /// What running changes: whether a compare match is pending and how
+  /// many have fired. The default value is the power-on state. The next
+  /// compare match is not stored: it is always one period past the last
+  /// fired one, at (fires + 1) * period.
+  struct State {
+    bool pending = false;
+    std::uint64_t fires = 0;
+  };
+
   /// `period_cycles` must be nonzero: a zero period would schedule the
   /// next compare match zero cycles ahead, forever.
   Timer(IoBus& bus, std::uint64_t period_cycles)
-      : bus_(bus), period_(period_cycles), next_(period_cycles) {
+      : bus_(bus), period_(period_cycles) {
     MAVR_REQUIRE(period_cycles > 0, "timer period must be nonzero");
     bus.add_tickable(this);
   }
@@ -30,41 +39,39 @@ class Timer : public Tickable {
   /// Interrupt-line query for Cpu::set_irq_line: true when pending
   /// (clears the flag — the hardware ack on vector entry).
   bool take_irq() {
-    const bool was = pending_;
-    pending_ = false;
+    const bool was = state_.pending;
+    state_.pending = false;
     return was;
   }
 
-  bool pending() const { return pending_; }
-  std::uint64_t fires() const { return fires_; }
+  bool pending() const { return state_.pending; }
+  std::uint64_t fires() const { return state_.fires; }
+
+  const State& state() const { return state_; }
+  void restore(const State& state) { state_ = state; }
 
   /// Power-on: first compare match one period after cycle 0, nothing
   /// pending or fired.
-  void power_on() {
-    next_ = period_;
-    pending_ = false;
-    fires_ = 0;
-  }
+  void power_on() { restore(State{}); }
 
   void tick(std::uint64_t now_cycles) override {
-    if (now_cycles < next_) return;
-    // Closed-form catch-up: identical fires()/pending semantics to the old
-    // `while (now >= next_) next_ += period_` loop, in O(1) for any gap.
-    const std::uint64_t elapsed_fires = (now_cycles - next_) / period_ + 1;
-    fires_ += elapsed_fires;
-    next_ += elapsed_fires * period_;
-    pending_ = true;
+    const std::uint64_t next = next_event_cycles();
+    if (now_cycles < next) return;
+    // Closed-form catch-up: identical fires()/pending semantics to a
+    // `while (now >= next) next += period` loop, in O(1) for any gap.
+    state_.fires += (now_cycles - next) / period_ + 1;
+    state_.pending = true;
     bus_.raise_irq();
   }
 
-  std::uint64_t next_event_cycles() const override { return next_; }
+  std::uint64_t next_event_cycles() const override {
+    return (state_.fires + 1) * period_;
+  }
 
  private:
   IoBus& bus_;
   std::uint64_t period_;
-  std::uint64_t next_;
-  bool pending_ = false;
-  std::uint64_t fires_ = 0;
+  State state_;
 };
 
 }  // namespace mavr::avr

@@ -31,51 +31,51 @@ Uart::Uart(IoBus& bus, const UartConfig& config) : bus_(bus) {
       config.data_addr,
       [](void* self, std::uint8_t b) {
         auto* uart = static_cast<Uart*>(self);
-        uart->tx_.push_back(b);
+        uart->state_.tx.push_back(b);
         if (uart->tap_ != nullptr) uart->tap_->on_tx(uart->now(), b);
       },
       this);
 }
 
 void Uart::host_send(std::span<const std::uint8_t> bytes) {
-  if (rx_cursor_ < now()) rx_cursor_ = now();
+  std::uint64_t& cursor = state_.rx_cursor;
+  if (cursor < now()) cursor = now();
   for (std::uint8_t b : bytes) {
-    rx_cursor_ += cycles_per_byte_;
-    rx_.push_back(Pending{.ready_at = rx_cursor_, .byte = b});
+    cursor += cycles_per_byte_;
+    state_.rx.push_back(Pending{.ready_at = cursor, .byte = b});
   }
 }
 
 void Uart::power_on() {
-  rx_cursor_ = 0;
-  rx_underruns_ = 0;
-  rx_.clear();
-  tx_.clear();
+  restore(State{});
   tap_ = nullptr;
 }
 
 support::Bytes Uart::host_take_tx() {
   support::Bytes out;
-  out.swap(tx_);
+  out.swap(state_.tx);
   return out;
 }
 
 std::uint8_t Uart::read_status() const {
   std::uint8_t status = kUartTxReady;  // transmit never blocks the firmware
-  if (!rx_.empty() && rx_.front().ready_at <= now()) status |= kUartRxComplete;
+  const std::deque<Pending>& rx = state_.rx;
+  if (!rx.empty() && rx.front().ready_at <= now()) status |= kUartRxComplete;
   return status;
 }
 
 std::uint8_t Uart::read_data() {
-  if (rx_.empty() || rx_.front().ready_at > now()) {
+  std::deque<Pending>& rx = state_.rx;
+  if (rx.empty() || rx.front().ready_at > now()) {
     // Underrun: the real part's receive buffer just holds the last byte and
     // an idle line rests at mark, so report 0xFF — never a synthetic 0x00
     // that downstream parsers could mistake for payload.
-    ++rx_underruns_;
+    ++state_.rx_underruns;
     if (tap_ != nullptr) tap_->on_rx_underrun(now());
     return kUartIdleLine;
   }
-  const std::uint8_t byte = rx_.front().byte;
-  rx_.pop_front();
+  const std::uint8_t byte = rx.front().byte;
+  rx.pop_front();
   if (tap_ != nullptr) tap_->on_rx(now(), byte);
   return byte;
 }

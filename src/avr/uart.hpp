@@ -56,6 +56,23 @@ class UartTap {
 
 class Uart {
  public:
+  /// One received byte and the cycle it has fully arrived by.
+  struct Pending {
+    std::uint64_t ready_at;
+    std::uint8_t byte;
+    bool operator==(const Pending&) const = default;
+  };
+
+  /// What the line and the firmware change. The default value is the
+  /// power-on state: both directions empty, pacing cursor and underrun
+  /// count at zero.
+  struct State {
+    std::uint64_t rx_cursor = 0;  ///< pacing cursor for arriving bytes
+    std::uint64_t rx_underruns = 0;
+    std::deque<Pending> rx;
+    support::Bytes tx;
+  };
+
   /// Throws support::PreconditionError when the config is unusable
   /// (zero baud or clock would make the pacing divide by zero).
   Uart(IoBus& bus, const UartConfig& config);
@@ -69,19 +86,22 @@ class Uart {
   support::Bytes host_take_tx();
 
   /// Bytes queued but not yet consumed by the firmware.
-  std::size_t rx_backlog() const { return rx_.size(); }
+  std::size_t rx_backlog() const { return state_.rx.size(); }
 
   /// Data-register reads that found no byte ready (firmware raced the line
   /// or polled without checking RXCn). Exported by the trace layer.
-  std::uint64_t rx_underruns() const { return rx_underruns_; }
+  std::uint64_t rx_underruns() const { return state_.rx_underruns; }
 
   /// Installs (or clears, with nullptr) the line-activity observer. Not
   /// owned; must outlive the attachment.
   void set_tap(UartTap* tap) { tap_ = tap; }
   UartTap* tap() const { return tap_; }
 
-  /// Power-on: both directions empty, pacing cursor and underrun count at
-  /// zero, tap detached.
+  const State& state() const { return state_; }
+  /// Puts `state` back; the tap is left as it is.
+  void restore(const State& state) { state_ = state; }
+
+  /// Power-on: restore(State{}) with the tap detached.
   void power_on();
 
   /// Simulated cycles needed to transfer `count` bytes at the line rate.
@@ -98,17 +118,9 @@ class Uart {
   /// tick() broadcast delivered.
   std::uint64_t now() const { return bus_.now(); }
 
-  struct Pending {
-    std::uint64_t ready_at;
-    std::uint8_t byte;
-  };
-
   IoBus& bus_;
   std::uint64_t cycles_per_byte_;
-  std::uint64_t rx_cursor_ = 0;  ///< pacing cursor for arriving bytes
-  std::uint64_t rx_underruns_ = 0;
-  std::deque<Pending> rx_;
-  support::Bytes tx_;
+  State state_;
   UartTap* tap_ = nullptr;
 };
 

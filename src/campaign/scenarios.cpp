@@ -1,11 +1,9 @@
 #include "campaign/scenarios.hpp"
 
 #include "analysis/analyze.hpp"
+#include "campaign/trial.hpp"
 #include "defense/bruteforce.hpp"
-#include "defense/external_flash.hpp"
-#include "defense/master.hpp"
 #include "defense/preprocess.hpp"
-#include "sim/board.hpp"
 #include "sim/ground.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
@@ -36,10 +34,9 @@ TrialResult run_bruteforce_trial(Scenario scenario, std::uint32_t n_functions,
 /// freshly constructed Board (Board::power_on's contract) without paying
 /// for one: the board, its flash and its mapped code caches are built once
 /// per thread and only the pages a trial touches are ever backed.
-sim::Board& worker_board(const CampaignConfig& config) {
+sim::Board& worker_board() {
   thread_local sim::Board board;
   board.power_on();
-  board.cpu().set_exec_tier(config.exec_tier);
   return board;
 }
 
@@ -56,51 +53,68 @@ defense::MasterConfig master_config(const CampaignConfig& config, bool sweep,
   return mcfg;
 }
 
-/// One board trial's layer objects, booted: the worker's board behind a
-/// MAVR master seeded from the trial Rng's first draw, the fixture's
-/// container uploaded and programmed. The detect and analyze sweeps arm a
-/// runtime detection engine first; the boot rebuilds its CFI set.
-struct Rig {
-  Rig(const SimFixture& fx, const CampaignConfig& config, support::Rng& rng)
-      : sweep(config.scenario == Scenario::kDetectSweep ||
-              config.scenario == Scenario::kAnalyzeSweep),
-        board(worker_board(config)),
-        master(flash, board, master_config(config, sweep, rng)) {
-    if (sweep) {
-      detect::EngineConfig ecfg;
-      ecfg.detectors = config.detectors;
-      // Analyze sweep: the derived per-function policy rides on top of the
-      // configured generic set. With analyze_policy off the same trial is
-      // the generic baseline the detection-rate delta is measured against.
-      const bool derived = config.scenario == Scenario::kAnalyzeSweep &&
-                           config.analyze_policy;
-      if (derived) ecfg.detectors |= detect::kDetectPolicy;
-      engine.emplace(ecfg);
-      engine->arm(board.cpu());
-      master.attach_detector(&*engine);
-      if (derived) master.attach_policy(&fx.policy);
-    }
-    master.host_upload(fx.container);
-    master.boot();
+bool is_sweep(Scenario scenario) {
+  return scenario == Scenario::kDetectSweep ||
+         scenario == Scenario::kAnalyzeSweep;
+}
+
+}  // namespace
+
+Rig::Rig(const SimFixture& fx, const CampaignConfig& config,
+         sim::Board& board, support::Rng& rng)
+    : sweep(is_sweep(config.scenario)),
+      board(board),
+      master(flash, board, master_config(config, sweep, rng)) {
+  board.cpu().set_exec_tier(config.exec_tier);
+  if (sweep) {
+    detect::EngineConfig ecfg;
+    ecfg.detectors = config.detectors;
+    // Analyze sweep: the derived per-function policy rides on top of the
+    // configured generic set. With analyze_policy off the same trial is
+    // the generic baseline the detection-rate delta is measured against.
+    const bool derived = config.scenario == Scenario::kAnalyzeSweep &&
+                         config.analyze_policy;
+    if (derived) ecfg.detectors |= detect::kDetectPolicy;
+    engine.emplace(ecfg);
+    engine->arm(board.cpu());
+    master.attach_detector(&*engine);
+    if (derived) master.attach_policy(&fx.policy);
   }
-  Rig(const Rig&) = delete;  // the master and engine point into the rig
+  master.host_upload(fx.container);
+  master.boot();
+}
 
-  const bool sweep;  ///< detect or analyze sweep
-  defense::ExternalFlash flash;
-  sim::Board& board;
-  defense::MasterProcessor master;
-  std::optional<detect::Engine> engine;  ///< armed in the sweeps only
-};
+std::shared_ptr<const WarmStart> make_warm_start(const CampaignConfig& config,
+                                                 const SimFixture& fx) {
+  if (!is_sweep(config.scenario) || config.detect_randomize ||
+      config.warmup_cycles == 0) {
+    return nullptr;
+  }
+  // With randomization off the master programs the container verbatim and
+  // never draws from its seed: every trial's rig boots to this one's
+  // state, whatever its Rng stream.
+  support::Rng rng(config.seed);
+  Rig rig(fx, config, worker_board(), rng);
+  rig.board.run_cycles(config.warmup_cycles);
+  return std::make_shared<const WarmStart>(
+      WarmStart{rig.board.save(), rig.engine->state()});
+}
 
-// One attack flight, on the rig of every board scenario but the fault
-// sweep: fly to cruise, take one stock-derived payload from the ground
-// station and fly on in watchdog-serviced slices. v1/v2/v3 attack a fresh
-// permutation with no engine armed; the sweeps attribute each detection to
-// their engine and time it from payload delivery.
+void warm_up(Rig& rig, const CampaignConfig& config, const WarmStart* warm) {
+  if (warm == nullptr) {
+    rig.board.run_cycles(config.warmup_cycles);
+    return;
+  }
+  rig.board.restore(warm->board);
+  rig.engine->restore(warm->engine);
+}
+
+// v1/v2/v3 attack a fresh permutation with no engine armed; the sweeps
+// attribute each detection to their engine and time it from payload
+// delivery.
 TrialResult fly_attack(Rig& rig, const SimFixture& fx,
                        const CampaignConfig& config, support::Rng& rng) {
   sim::Board& board = rig.board;
-  board.run_cycles(config.warmup_cycles);
 
   const DetectAttack flight =
       config.scenario == Scenario::kV1   ? DetectAttack::kV1
@@ -172,6 +186,8 @@ TrialResult fly_attack(Rig& rig, const SimFixture& fx,
   return result;
 }
 
+namespace {
+
 // The fault sweep's tail (the reflash pipeline under an armed fault plane):
 // the rig's clean boot established the last-known-good image, now the
 // plane is armed on every hardware boundary and a scheduled
@@ -234,12 +250,20 @@ TrialFn make_trial_fn(const CampaignConfig& config,
                       const SimFixture* fixture) {
   if (scenario_uses_board(config.scenario)) {
     MAVR_REQUIRE(fixture != nullptr, "board scenarios require a SimFixture");
-    return [fx = fixture, cfg = config](std::uint64_t, support::Rng& rng) {
-      Rig rig(*fx, cfg, rng);
+    // Built once here and shared read-only by every copy of the fn, so by
+    // every worker thread (null where the prefix depends on the trial).
+    std::shared_ptr<const WarmStart> warm = make_warm_start(config, *fixture);
+    return [fx = fixture, cfg = config, warm = std::move(warm)](
+               std::uint64_t, support::Rng& rng) {
+      Rig rig(*fx, cfg, worker_board(), rng);
       const std::uint64_t start_cycles = rig.board.cpu().cycles();
-      TrialResult result = cfg.scenario == Scenario::kFaultSweep
-                               ? fault_tail(rig, cfg, rng)
-                               : fly_attack(rig, *fx, cfg, rng);
+      TrialResult result;
+      if (cfg.scenario == Scenario::kFaultSweep) {
+        result = fault_tail(rig, cfg, rng);
+      } else {
+        warm_up(rig, cfg, warm.get());
+        result = fly_attack(rig, *fx, cfg, rng);
+      }
       result.cycles = rig.board.cpu().cycles() - start_cycles;
       return result;
     };

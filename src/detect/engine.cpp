@@ -10,9 +10,7 @@ namespace {
 
 /// Legal stack region is [RAMEND - kStackReserveBytes + 1, RAMEND].
 constexpr std::uint16_t kStackReserveBytes = 512;
-/// Recently-freed frame records kept for crash-time canary forensics.
-constexpr std::size_t kFreedRing = 16;
-static_assert(kFreedRing > 0, "the freed-frame ring needs a slot");
+static_assert(Engine::kFreedRing > 0, "the freed-frame ring needs a slot");
 /// Verdict log cap (the tripped() latch and trip counter keep counting).
 constexpr std::size_t kMaxVerdicts = 16;
 
@@ -76,11 +74,7 @@ std::optional<unsigned> parse_detector_set(std::string_view text) {
   return mask;
 }
 
-Engine::Engine(const EngineConfig& config) : config_(config) {
-  shadow_.reserve(64);
-  frames_.reserve(64);
-  reset_dynamic();
-}
+Engine::Engine(const EngineConfig& config) : config_(config) {}
 
 void Engine::arm(avr::Cpu& cpu) {
   cpu_ = &cpu;
@@ -120,26 +114,27 @@ void Engine::rebuild(std::span<const std::uint8_t> image,
 }
 
 void Engine::reset_dynamic() {
-  shadow_.clear();
-  frames_.clear();
-  freed_.assign(kFreedRing, FrameRecord{});
-  freed_next_ = 0;
-  tripped_ = false;
+  // A new engine's state, with the lifetime fields carried over: a
+  // per-run field added to State is reset without being named here.
+  State fresh;
+  fresh.verdicts = std::move(state_.verdicts);
+  fresh.total_trips = state_.total_trips;
+  state_ = std::move(fresh);
 }
 
 void Engine::record(Detector detector, const avr::Cpu& cpu,
                     std::uint32_t pc_words, std::uint32_t value,
                     const char* reason) {
-  tripped_ = true;
-  ++total_trips_;
-  if (verdicts_.size() >= kMaxVerdicts) return;
+  state_.tripped = true;
+  ++state_.total_trips;
+  if (state_.verdicts.size() >= kMaxVerdicts) return;
   Verdict v;
   v.detector = detector;
   v.cycle = cpu.cycles();
   v.pc_words = pc_words;
   v.value = value;
   v.reason = reason;
-  verdicts_.push_back(v);
+  state_.verdicts.push_back(v);
 }
 
 void Engine::remember_frame(const avr::Cpu& cpu) {
@@ -153,7 +148,7 @@ void Engine::remember_frame(const avr::Cpu& cpu) {
     frame.bytes[i] =
         cpu.data().raw(static_cast<std::uint32_t>(frame.slot) + i);
   }
-  frames_.push_back(frame);
+  state_.frames.push_back(frame);
 }
 
 bool Engine::cfi_valid(std::uint32_t raw_words) const {
@@ -164,14 +159,18 @@ bool Engine::cfi_valid(std::uint32_t raw_words) const {
 void Engine::on_call(const avr::Cpu& cpu, std::uint32_t from_words,
                      std::uint32_t to_words, std::uint32_t ret_words) {
   (void)from_words, (void)to_words;
-  if (config_.detectors & kDetectShadowStack) shadow_.push_back(ret_words);
+  if (config_.detectors & kDetectShadowStack) {
+    state_.shadow.push_back(ret_words);
+  }
   if (config_.detectors & kDetectCanary) remember_frame(cpu);
 }
 
 void Engine::on_irq(const avr::Cpu& cpu, std::uint8_t slot,
                     std::uint32_t from_words) {
   (void)slot;
-  if (config_.detectors & kDetectShadowStack) shadow_.push_back(from_words);
+  if (config_.detectors & kDetectShadowStack) {
+    state_.shadow.push_back(from_words);
+  }
   if (config_.detectors & kDetectCanary) remember_frame(cpu);
 }
 
@@ -182,9 +181,10 @@ void Engine::on_ret(const avr::Cpu& cpu, std::uint32_t from_words,
   if (config_.detectors & kDetectShadowStack) {
     // An empty shadow means the engine attached mid-run (or the program
     // returns past its entry frame) — nothing to compare against.
-    if (!shadow_.empty()) {
-      const std::uint32_t expected = shadow_.back();
-      shadow_.pop_back();
+    std::vector<std::uint32_t>& shadow = state_.shadow;
+    if (!shadow.empty()) {
+      const std::uint32_t expected = shadow.back();
+      shadow.pop_back();
       if (raw_words != expected) {
         record(Detector::kShadowStack, cpu, from_words, raw_words,
                "ret target differs from the mirrored call push");
@@ -232,11 +232,12 @@ void Engine::on_sp_change(const avr::Cpu& cpu, std::uint16_t old_sp,
     // freed ring *without* verification: the stealthy variants' repaired
     // epilogue pops are exactly what must not be flagged here (the slot
     // is only re-checked if the core later faults).
-    while (!frames_.empty() &&
-           frames_.back().slot + push_bytes_ - 1 <= new_sp) {
-      freed_[freed_next_] = frames_.back();
-      freed_next_ = (freed_next_ + 1) % freed_.size();
-      frames_.pop_back();
+    std::vector<FrameRecord>& frames = state_.frames;
+    while (!frames.empty() &&
+           frames.back().slot + push_bytes_ - 1 <= new_sp) {
+      state_.freed[state_.freed_next] = frames.back();
+      state_.freed_next = (state_.freed_next + 1) % kFreedRing;
+      frames.pop_back();
     }
   }
 }
@@ -275,8 +276,8 @@ void Engine::on_fault(const avr::Cpu& cpu, const avr::FaultInfo& info) {
       }
     }
   };
-  for (const FrameRecord& frame : frames_) check(frame);
-  for (const FrameRecord& frame : freed_) check(frame);
+  for (const FrameRecord& frame : state_.frames) check(frame);
+  for (const FrameRecord& frame : state_.freed) check(frame);
 }
 
 }  // namespace mavr::detect

@@ -40,6 +40,7 @@
 // reflash ladder it uses for crash/quiet detection (defense/master.cpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -93,16 +94,44 @@ struct Verdict {
   std::uint32_t pc_words = 0;  ///< PC of the offending instruction
   std::uint32_t value = 0;     ///< detector-specific: bad target / SP / slot
   const char* reason = "";     ///< static description (no allocation in hooks)
+  bool operator==(const Verdict&) const = default;
 };
 
 /// The stack reserve, the freed-frame ring and the verdict log cap are
-/// fixed: kStackReserveBytes, kFreedRing and kMaxVerdicts in engine.cpp.
+/// fixed: kStackReserveBytes and kMaxVerdicts in engine.cpp,
+/// Engine::kFreedRing below.
 struct EngineConfig {
   unsigned detectors = kDetectAll;
 };
 
 class Engine : public avr::Tracer {
  public:
+  /// Recently-freed frame records kept for crash-time canary forensics.
+  static constexpr std::size_t kFreedRing = 16;
+
+  /// One pushed return address the canary detector remembers: the slot's
+  /// data-space address and the bytes the hardware pushed there.
+  struct FrameRecord {
+    std::uint16_t slot = 0;      ///< lowest address of the 3-byte slot
+    std::uint8_t bytes[3] = {};  ///< as stored (big-endian toward ascending)
+    bool operator==(const FrameRecord&) const = default;
+  };
+
+  /// Everything a flight changes. The default value is a new engine's.
+  /// reset_dynamic() returns the per-run part to it; the verdict log and
+  /// the trip count are lifetime state and survive. The CFI set, the
+  /// policy and the configuration are not in it: the master rebuilds
+  /// them from every image it programs.
+  struct State {
+    std::vector<std::uint32_t> shadow;  ///< mirrored return addresses
+    std::vector<FrameRecord> frames;    ///< live frames, outermost first
+    std::array<FrameRecord, kFreedRing> freed{};  ///< ring of freed frames
+    std::size_t freed_next = 0;                   ///< ring cursor
+    bool tripped = false;                         ///< the tripped() latch
+    std::vector<Verdict> verdicts;  ///< capped at kMaxVerdicts
+    std::uint64_t total_trips = 0;  ///< uncapped
+  };
+
   explicit Engine(const EngineConfig& config = {});
 
   /// Claims `cpu`'s tracer slot and resets dynamic state. The engine must
@@ -133,11 +162,15 @@ class Engine : public avr::Tracer {
   void reset_dynamic();
 
   /// True once any detector fired since the last reset_dynamic().
-  bool tripped() const { return tripped_; }
+  bool tripped() const { return state_.tripped; }
   /// Verdicts fired over the engine's lifetime (capped at kMaxVerdicts).
-  const std::vector<Verdict>& verdicts() const { return verdicts_; }
+  const std::vector<Verdict>& verdicts() const { return state_.verdicts; }
   /// Total verdicts fired over the engine's lifetime (uncapped).
-  std::uint64_t total_trips() const { return total_trips_; }
+  std::uint64_t total_trips() const { return state_.total_trips; }
+
+  const State& state() const { return state_; }
+  /// Puts `state` back, for the image the engine was last rebuilt from.
+  void restore(const State& state) { state_ = state; }
 
   unsigned detectors() const { return config_.detectors; }
   std::uint16_t stack_lo() const { return stack_lo_; }
@@ -158,13 +191,6 @@ class Engine : public avr::Tracer {
   void on_fault(const avr::Cpu& cpu, const avr::FaultInfo& info) override;
 
  private:
-  /// One pushed return address the canary detector remembers: the slot's
-  /// data-space address and the bytes the hardware pushed there.
-  struct FrameRecord {
-    std::uint16_t slot = 0;      ///< lowest address of the 3-byte slot
-    std::uint8_t bytes[3] = {};  ///< as stored (big-endian toward ascending)
-  };
-
   void record(Detector detector, const avr::Cpu& cpu, std::uint32_t pc_words,
               std::uint32_t value, const char* reason);
   void remember_frame(const avr::Cpu& cpu);
@@ -176,16 +202,7 @@ class Engine : public avr::Tracer {
   std::uint16_t stack_hi_ = 0;
   std::uint8_t push_bytes_ = 3;  ///< bytes one CALL pushes (McuSpec)
 
-  // Dynamic state (cleared by reset_dynamic).
-  std::vector<std::uint32_t> shadow_;   ///< mirrored return addresses
-  std::vector<FrameRecord> frames_;     ///< live frames, outermost first
-  std::vector<FrameRecord> freed_;      ///< circular ring of freed frames
-  std::size_t freed_next_ = 0;
-  bool tripped_ = false;
-
-  // Lifetime state (survives reset_dynamic).
-  std::vector<Verdict> verdicts_;
-  std::uint64_t total_trips_ = 0;
+  State state_;
 
   // Return-edge CFI: bit per flash word that is a valid RET target.
   std::vector<std::uint64_t> cfi_bits_;

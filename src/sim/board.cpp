@@ -116,6 +116,26 @@ void Board::power_on() {
   cpu_.power_on();
 }
 
+Board::Snapshot Board::save() const {
+  Snapshot s{.cpu = cpu_.save(),
+             .uart = uart_->state(),
+             .timer = timer_->state(),
+             .servos = {},
+             .feed = feed_->state(),
+             .led = led_->state()};
+  for (int i = 0; i < 4; ++i) s.servos[i] = servo_[i]->state();
+  return s;
+}
+
+void Board::restore(const Snapshot& snapshot) {
+  uart_->restore(snapshot.uart);
+  for (int i = 0; i < 4; ++i) servo_[i]->restore(snapshot.servos[i]);
+  feed_->restore(snapshot.feed);
+  led_->restore(snapshot.led);
+  timer_->restore(snapshot.timer);
+  cpu_.restore(snapshot.cpu);
+}
+
 void Board::run_cycles(std::uint64_t cycles) {
   if (in_bootloader_) return;  // core held in the bootloader stub
   cpu_.run(cycles);

@@ -10,6 +10,7 @@
 //    dump the flash (i.e. the randomized binary) is refused.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -106,6 +107,24 @@ class Board {
   /// fields cleared. Unlike reset(), it restarts the whole timeline.
   void power_on();
 
+  /// Everything flying changes, by value: the core (with its data space,
+  /// EEPROM and bus state) and the state of every device. Flash, fuse,
+  /// bootloader and endurance fields are not in it, nor any cache.
+  struct Snapshot {
+    avr::Cpu::Snapshot cpu;
+    avr::Uart::State uart;
+    avr::Timer::State timer;
+    std::array<avr::OutputPort::State, 4> servos;
+    avr::OutputPort::State feed;
+    avr::OutputPort::State led;
+  };
+  Snapshot save() const;
+  /// Puts a snapshot back: the devices first, then the core, whose bus
+  /// re-reads the timer's deadline. The snapshot must come from a board
+  /// running the same flash; restore() never touches flash, a cache or a
+  /// generation counter. Tracer, UART tap and fault plane stay attached.
+  void restore(const Snapshot& snapshot);
+
   /// Runs the application for `cycles` CPU cycles (no-op in bootloader).
   void run_cycles(std::uint64_t cycles);
 
@@ -124,6 +143,7 @@ class Board {
 
   avr::OutputPort& servo(int channel) { return *servo_[channel]; }
   avr::OutputPort& feed_line() { return *feed_; }
+  avr::OutputPort& led() { return *led_; }
   avr::Timer& tick_timer() { return *timer_; }
 
  private:

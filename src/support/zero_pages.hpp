@@ -3,7 +3,9 @@
 // sparsely used table (the CPU's per-flash-word decode cache, the tier's
 // block map) costs what its touched pages cost. mmap rather than calloc:
 // glibc's dynamic mmap threshold serves a freed multi-megabyte block from
-// the heap on the next calloc, which then memsets all of it.
+// the heap on the next calloc, which then memsets all of it. Being its own
+// mapping, the array also goes back to the system when its owner dies;
+// that is why the program flash, which is filled in full, lives here too.
 #pragma once
 
 #include <sys/mman.h>

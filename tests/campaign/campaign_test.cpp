@@ -276,5 +276,25 @@ TEST(CampaignBoards, V2FleetIsDetectedAndDeterministic) {
   EXPECT_GT(one.total_cycles, 0u);
 }
 
+// A detect sweep with randomization off restores one warm start that
+// make_trial_fn builds and every worker reads. Four chunks keep four
+// workers restoring it at once (the MAVR_TSAN build runs this test), and
+// the aggregate must match the single-worker run.
+TEST(CampaignBoards, SweepWorkersShareOneWarmStart) {
+  const campaign::SimFixture fixture =
+      campaign::make_sim_fixture(firmware::testapp(/*vulnerable=*/true));
+  CampaignConfig config;
+  config.scenario = Scenario::kDetectSweep;
+  config.detect_attack = campaign::DetectAttack::kV2;
+  config.trials = 4 * campaign::kChunkTrials;
+  config.seed = 7;
+  config.jobs = 1;
+  const CampaignStats one = campaign::run_campaign(config, fixture);
+  config.jobs = 4;
+  const CampaignStats four = campaign::run_campaign(config, fixture);
+  EXPECT_TRUE(bitwise_equal(one, four));
+  EXPECT_EQ(one.detections, one.trials);
+}
+
 }  // namespace
 }  // namespace mavr

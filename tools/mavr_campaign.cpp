@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include <unistd.h>
@@ -284,26 +285,29 @@ int main(int argc, char** argv) {
   }
 
   try {
+    // One fixture (and one static-analysis pass) serves every in-process
+    // run. It is set-up, not trials, so the clock starts after it.
+    std::optional<campaign::SimFixture> fixture;
+    if (connect_path.empty() &&
+        campaign::scenario_uses_board(config.scenario)) {
+      fixture =
+          campaign::make_sim_fixture(firmware::testapp(/*vulnerable=*/true));
+    }
     const auto t0 = std::chrono::steady_clock::now();
     campaign::CampaignStats stats;
     campaign::CampaignStats generic_stats;
     bool have_generic = false;
     if (connect_path.empty()) {
-      if (config.scenario == campaign::Scenario::kAnalyzeSweep) {
-        // One fixture (and one static-analysis pass) serves both runs;
-        // the baseline replays the identical trial stream with the
-        // generic detectors alone, so the delta isolates the policy.
-        const campaign::SimFixture fixture = campaign::make_sim_fixture(
-            firmware::testapp(/*vulnerable=*/true));
-        stats = campaign::run_campaign(config, fixture);
-        if (config.analyze_policy) {
-          campaign::CampaignConfig generic = config;
-          generic.analyze_policy = false;
-          generic_stats = campaign::run_campaign(generic, fixture);
-          have_generic = true;
-        }
-      } else {
-        stats = campaign::run_campaign(config);
+      stats = fixture ? campaign::run_campaign(config, *fixture)
+                      : campaign::run_campaign(config);
+      if (config.scenario == campaign::Scenario::kAnalyzeSweep &&
+          config.analyze_policy) {
+        // The baseline replays the identical trial stream with the generic
+        // detectors alone, so the delta isolates the policy.
+        campaign::CampaignConfig generic = config;
+        generic.analyze_policy = false;
+        generic_stats = campaign::run_campaign(generic, *fixture);
+        have_generic = true;
       }
     } else {
       // Resilient client (DESIGN.md §14): retries ride out a coordinator
@@ -338,12 +342,15 @@ int main(int argc, char** argv) {
             .count();
 
     if (connect_path.empty()) {
+      // Every trial the clock covers, the generic baseline's included.
+      const std::uint64_t trials =
+          stats.trials + (have_generic ? generic_stats.trials : 0);
       std::printf("scenario %s: %llu trials, %u jobs, seed %llu (%.2f s, "
                   "%.0f trials/s)\n",
                   campaign::scenario_name(config.scenario),
-                  static_cast<unsigned long long>(stats.trials), config.jobs,
+                  static_cast<unsigned long long>(trials), config.jobs,
                   static_cast<unsigned long long>(config.seed), wall_s,
-                  static_cast<double>(stats.trials) / wall_s);
+                  static_cast<double>(trials) / wall_s);
     } else {
       std::printf("scenario %s: %llu trials via %s, seed %llu (%.2f s, "
                   "%.0f trials/s)\n",
